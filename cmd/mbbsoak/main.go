@@ -30,7 +30,8 @@
 // admission statuses the cluster legitimately produces (429 at
 // saturation, 503 during bring-up) are tolerated and counted; the final
 // phase asserts every graph converged to its shard owner's exact epoch
-// on every worker before the leak gauges run.
+// on every worker before the leak gauges run, and the OK line reports
+// the fleet's replicated records and resyncs.
 //
 // Exit status 0 means the workload ran clean and nothing leaked; any
 // unexpected response or leaked resource prints a diagnosis and exits 1.
@@ -502,9 +503,14 @@ func runCluster(n int, duration time.Duration, clients, graphs int, seed int64, 
 	}
 
 	// Shutdown: stop tailing first (so /replicate handlers unblock), then
-	// the coordinator, then the workers.
+	// the coordinator, then the workers. The fleet's replication totals
+	// go on the OK line: a resync loop shows as resyncs piling up.
+	var resyncs, applied int64
 	for _, nd := range nodes {
 		nd.tm.Close()
+		st := nd.tm.Status()
+		resyncs += st.Resyncs
+		applied += st.Applied
 	}
 	coord.Close()
 	shutCtx, cancelShut := context.WithTimeout(context.Background(), 10*time.Second)
@@ -551,7 +557,7 @@ func runCluster(n int, duration time.Duration, clients, graphs int, seed int64, 
 		}
 		return 1
 	}
-	fmt.Printf("mbbsoak: OK — %d workers converged, zero leaked goroutines, jobs and snapshots\n", n)
+	fmt.Printf("mbbsoak: OK — %d workers converged (%d records replicated, %d resyncs), zero leaked goroutines, jobs and snapshots\n", n, applied, resyncs)
 	return 0
 }
 

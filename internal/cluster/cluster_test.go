@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -378,6 +379,154 @@ func TestApplyReplicaVersionSkew(t *testing.T) {
 	if err := st.ApplyReplica(wal.Record{Type: wal.RecDelta, Name: "g", Gen: 1, Epoch: 5, Payload: enc}, false); !errors.Is(err, server.ErrReplicaGap) {
 		t.Fatalf("epoch-gap delta: %v, want ErrReplicaGap", err)
 	}
+}
+
+// TestReplicaConvergesOnCompactedHead: an owner whose log starts with a
+// compacted checkpoint head in which a mutation raced the checkpoint —
+// [Delta G@1, GraphSnap G@1, CheckpointEnd], the Put compacted away —
+// must replicate to a fresh replica without a single resync.
+func TestReplicaConvergesOnCompactedHead(t *testing.T) {
+	ownerTS := httptest.NewUnstartedServer(nil)
+	t.Cleanup(ownerTS.Close)
+	ownerURL := "http://" + ownerTS.Listener.Addr().String()
+	replicaURL := "http://replica.invalid" // nothing dials the replica
+	peers := []string{ownerURL, replicaURL}
+	ring, err := NewRing(peers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := pickName(t, ring, ownerURL)
+
+	b := bigraph.NewBuilder(2, 2)
+	b.AddEdge(0, 0)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 1)
+	delta, err := bigraph.Delta{Add: [][2]int{{0, 1}}}.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff}, func(wal.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []wal.Record{
+		{Type: wal.RecDelta, Name: name, Gen: 1, Epoch: 1, Payload: delta},
+		{Type: wal.RecGraphSnap, Name: name, Gen: 1, Epoch: 1, Payload: b.Build().AppendBinary(nil)},
+		{Type: wal.RecCheckpointEnd},
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	owner, err := server.New(server.Options{Workers: 1, DataDir: dir, WALSync: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(owner.Close)
+	ownerTS.Config.Handler = owner.Handler()
+	ownerTS.Start()
+
+	replica := server.NewStore(0, 0)
+	tm, err := NewTailManager(replica, Config{Self: replicaURL, Peers: peers, Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm.Start()
+	t.Cleanup(tm.Close)
+
+	waitFor(t, 10*time.Second, "replica at epoch 1", func() bool {
+		sg, ok := replica.Get(name)
+		return ok && sg.Epoch() == 1
+	})
+	if st := tm.Status(); st.Resyncs != 0 {
+		t.Fatalf("replica converged after %d resyncs, want 0", st.Resyncs)
+	}
+}
+
+// TestReplicaFollowsOwnerRestart restarts an owner after a checkpoint
+// compacted away a deleted graph's records, so the restarted owner can
+// issue the deleted generation's id again. A replica that applied the
+// Delete must still install the new upload and its mutations.
+func TestReplicaFollowsOwnerRestart(t *testing.T) {
+	var owner atomic.Pointer[server.Server]
+	ownerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if o := owner.Load(); o != nil {
+			o.Handler().ServeHTTP(w, r)
+			return
+		}
+		http.Error(w, "restarting", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(ownerTS.Close)
+	replicaURL := "http://replica.invalid" // nothing dials the replica
+	peers := []string{ownerTS.URL, replicaURL}
+	ring, err := NewRing(peers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := pickName(t, ring, ownerTS.URL)
+	dir := t.TempDir()
+	open := func() *server.Server {
+		o, err := server.New(server.Options{Workers: 1, DataDir: dir, WALSync: "off"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner.Store(o)
+		return o
+	}
+	graph := func() *bigraph.Graph {
+		b := bigraph.NewBuilder(2, 2)
+		b.AddEdge(0, 0)
+		b.AddEdge(1, 1)
+		return b.Build()
+	}
+
+	o1 := open()
+	replica := server.NewStore(0, 0)
+	tm, err := NewTailManager(replica, Config{Self: replicaURL, Peers: peers, Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm.Start()
+	t.Cleanup(tm.Close)
+
+	if _, err := o1.Store().Put(name, graph()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "replica holds the first upload", func() bool {
+		_, ok := replica.Get(name)
+		return ok
+	})
+	if _, err := o1.Store().Delete(name); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "replica applies the delete", func() bool {
+		_, ok := replica.Get(name)
+		return !ok
+	})
+	if err := o1.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	owner.Store(nil)
+	o1.Close()
+
+	o2 := open()
+	t.Cleanup(o2.Close)
+	sg, err := o2.Store().Put(name, graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sg.Mutate(bigraph.Delta{Add: [][2]int{{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "replica holds the second upload at epoch 1", func() bool {
+		rg, ok := replica.Get(name)
+		return ok && rg.Generation() == sg.Generation() && rg.Epoch() == 1
+	})
 }
 
 // TestCoordinatorAdmission pins the admission-control split: every

@@ -200,7 +200,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("DELETE /graphs/{name}/edges", c.ownerForward)
 	mux.HandleFunc("POST /graphs/{name}/jobs", c.solveForward)
 	mux.HandleFunc("POST /graphs/{name}/solve", c.solveForward)
-	mux.HandleFunc("POST /graphs/{name}/solveall", c.handleSolveAll)
 	mux.HandleFunc("GET /jobs", c.handleJobs)
 	mux.HandleFunc("GET /jobs/{id}", c.jobForward)
 	mux.HandleFunc("DELETE /jobs/{id}", c.jobForward)

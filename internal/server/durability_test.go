@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -129,9 +130,10 @@ func checkRecovered(t *testing.T, s *Store, model map[string]*modelGraph) {
 // tail) — recovers a fresh store from what survived, and asserts the
 // result equals the model folded over exactly the surviving operations:
 // same graphs, same epochs, same edges, and every retained epoch solves
-// to the brute-force optimum.
+// to the brute-force optimum. The surviving records, applied to another
+// fresh store through ApplyReplica, must meet the same model.
 func TestCrashRecoveryProperty(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
+	for seed := int64(0); seed < 16; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			crashRecoveryRound(t, seed)
 		})
@@ -244,6 +246,151 @@ func crashRecoveryRound(t *testing.T, seed int64) {
 	}
 	if err := s2.CloseWAL(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Replay equals apply: the surviving records, applied as a replica
+	// would, reach the same state.
+	var survived []wal.Record
+	l, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff, SegmentBytes: 1 << 30}, func(rec wal.Record) error {
+		survived = append(survived, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := NewStore(0, 0)
+	s3.SetRetainEpochs(4)
+	for i, rec := range survived {
+		if err := s3.ApplyReplica(rec, false); err != nil {
+			t.Fatalf("replica apply of record %d (%s %q): %v", i, rec.Type, rec.Name, err)
+		}
+	}
+	checkRecovered(t, s3, durable[k].model)
+}
+
+// graphState is what a store holds for one name: the incarnation and
+// the epoch it is at.
+type graphState struct{ gen, epoch uint64 }
+
+func graphStates(s *Store) map[string]graphState {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]graphState, len(s.graphs))
+	for name, sg := range s.graphs {
+		out[name] = graphState{sg.gen, sg.Epoch()}
+	}
+	return out
+}
+
+// TestReplayEqualsApply writes record orders that a live store really
+// logs to a WAL, rebuilds one fresh store by recovery (OpenWAL) and one
+// by replica apply (ApplyReplica), and asserts both end in the same,
+// expected state without error — or, for a log no store can produce,
+// that both refuse it.
+func TestReplayEqualsApply(t *testing.T) {
+	g0 := buildGraph(2, 2, edgeSet{{0, 0}: true, {1, 1}: true})
+	g1 := buildGraph(2, 2, edgeSet{{0, 0}: true, {1, 1}: true, {0, 1}: true})
+	delta, err := bigraph.Delta{Add: [][2]int{{0, 1}}}.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop, err := bigraph.Delta{Add: [][2]int{{0, 0}}}.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := wal.Record{Type: wal.RecPut, Name: "g", Gen: 1, Payload: g0.AppendBinary(nil)}
+	del := wal.Record{Type: wal.RecDelete, Name: "g", Gen: 1}
+	delta1 := wal.Record{Type: wal.RecDelta, Name: "g", Gen: 1, Epoch: 1, Payload: delta}
+	cases := []struct {
+		name    string
+		recs    []wal.Record
+		want    map[string]graphState
+		wantErr bool
+	}{{
+		// Checkpoint appends each snapshot after releasing the store
+		// lock, so a Delete can be logged before the deleted graph's
+		// snapshot.
+		name: "delete then checkpoint snapshot",
+		recs: []wal.Record{put, del, {Type: wal.RecGraphSnap, Name: "g", Gen: 1, Payload: g0.AppendBinary(nil)}},
+		want: map[string]graphState{},
+	}, {
+		// A compacted checkpoint head where a mutation raced the
+		// checkpoint: the Put is gone, the delta precedes the snapshot
+		// that already holds it.
+		name: "compacted head with raced delta",
+		recs: []wal.Record{delta1, {Type: wal.RecGraphSnap, Name: "g", Gen: 1, Epoch: 1, Payload: g1.AppendBinary(nil)}, {Type: wal.RecCheckpointEnd}},
+		want: map[string]graphState{"g": {gen: 1, epoch: 1}},
+	}, {
+		// The mutate handler looks the graph up and mutates it without
+		// the store lock, so a Delete can be logged before the delta.
+		name: "delta after delete",
+		recs: []wal.Record{put, del, delta1},
+		want: map[string]graphState{},
+	}, {
+		// An owner restarted after a checkpoint compacted away its
+		// highest generations issues those ids again: the Put after the
+		// tombstone is a new incarnation, and its deltas apply.
+		name: "put reusing a deleted generation",
+		recs: []wal.Record{put, del, {Type: wal.RecCheckpointEnd}, put, delta1},
+		want: map[string]graphState{"g": {gen: 1, epoch: 1}},
+	}, {
+		// Only effective deltas are logged: one that changes nothing
+		// means the store diverged from the log.
+		name:    "delta without effect",
+		recs:    []wal.Record{put, {Type: wal.RecDelta, Name: "g", Gen: 1, Epoch: 1, Payload: noop}},
+		wantErr: true,
+	}, {
+		name:    "epoch gap",
+		recs:    []wal.Record{put, {Type: wal.RecDelta, Name: "g", Gen: 1, Epoch: 2, Payload: delta}},
+		wantErr: true,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff}, func(wal.Record) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range tc.recs {
+				if err := l.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			recovered := NewStore(0, 0)
+			_, rerr := recovered.OpenWAL(dir, wal.Options{Sync: wal.SyncOff}, false)
+			if rerr == nil {
+				defer recovered.CloseWAL()
+			}
+			replica := NewStore(0, 0)
+			var aerr error
+			for _, rec := range tc.recs {
+				if aerr = replica.ApplyReplica(rec, false); aerr != nil {
+					break
+				}
+			}
+			if tc.wantErr {
+				if rerr == nil || aerr == nil {
+					t.Fatalf("recovery error %v, replica error %v; want both to refuse the log", rerr, aerr)
+				}
+				return
+			}
+			if rerr != nil || aerr != nil {
+				t.Fatalf("recovery error %v, replica error %v", rerr, aerr)
+			}
+			for _, s := range []*Store{recovered, replica} {
+				if got := graphStates(s); !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("recovery holds %v, replica holds %v, want %v", graphStates(recovered), graphStates(replica), tc.want)
+					break
+				}
+			}
+		})
 	}
 }
 
@@ -452,6 +599,60 @@ func TestConcurrentMutateWhileCheckpoint(t *testing.T) {
 	}
 	if err := s2.CloseWAL(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentPutsLogGenerationsInOrder races uploads of one name (run
+// with -race). Replay keeps the newest generation of a name, so the log
+// must hold its Puts in generation order, and recovery must land on the
+// incarnation the live store kept.
+func TestConcurrentPutsLogGenerationsInOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := NewStore(0, 0)
+	if _, err := s.OpenWAL(dir, wal.Options{Sync: wal.SyncOff}, false); err != nil {
+		t.Fatal(err)
+	}
+	g := buildGraph(2, 2, edgeSet{{0, 0}: true})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := s.Put("g", g); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	live, _ := s.Get("g")
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	var last uint64
+	l, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff}, func(rec wal.Record) error {
+		if rec.Gen <= last {
+			return fmt.Errorf("put of generation %d logged after generation %d", rec.Gen, last)
+		}
+		last = rec.Gen
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewStore(0, 0)
+	if _, err := s2.OpenWAL(dir, wal.Options{Sync: wal.SyncOff}, false); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.CloseWAL()
+	if got, ok := s2.Get("g"); !ok || got.Generation() != live.Generation() {
+		t.Fatalf("recovered %v, want generation %d", graphStates(s2), live.Generation())
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/bigraph"
 	"repro/internal/wal"
@@ -23,174 +22,163 @@ type RecoverStats struct {
 	TombstonedFor int // records ignored for deleted generations
 }
 
-// replayer folds WAL records into a Store. Replay is single-threaded and
-// runs strictly before the store serves traffic, so it writes the graph
-// map under the store lock only for form's sake.
+// recordEffect is what applyRecord did with one WAL record.
+type recordEffect uint8
+
+const (
+	effNone       recordEffect = iota // checkpoint barrier or delete
+	effStale                          // older than the store's state: skipped
+	effTombstoned                     // snapshot of a deleted generation: skipped
+	effPut                            // upload installed at epoch 0
+	effSnap                           // checkpoint snapshot installed at its epoch
+	effDelta                          // delta published as the next epoch
+)
+
+// recordResult reports one applyRecord call: its effect, the snapshot
+// an install or a delta published, and a delta's MutationInfo.Plan word.
+type recordResult struct {
+	effect recordEffect
+	snap   *Snapshot
+	plan   string
+}
+
+func (a recordResult) installed() bool { return a.effect == effPut || a.effect == effSnap }
+
+// applyRecord folds one WAL record into the store. Crash recovery
+// (OpenWAL) and replica apply (ApplyReplica) both run every record
+// through it, so a replica that applies an owner's log ends where the
+// owner's own recovery would. The rules (DESIGN.md §10 tabulates them):
 //
-// Correctness rests on two invariants of the append side:
-//   - per graph, delta records appear in epoch order (Mutate appends
-//     while holding sg.mu), and
-//   - a checkpoint snapshot record is appended under the same sg.mu, so
-//     every later delta record for that graph has epoch > the snapshot's.
+//   - Every payload decodes before any state changes.
+//   - A full-graph record (Put, or a checkpoint's GraphSnap) installs,
+//     and drops the name's tombstone, unless the name holds a later
+//     generation, or the same one at an equal or later epoch.
+//   - A Delete tombstones its generation and removes the name if it
+//     holds that generation or an older one. Checkpoint appends each
+//     snapshot outside the store lock, so the snapshot of a deleted
+//     graph can follow its Delete; the tombstone skips a GraphSnap at
+//     or below it. A Put is logged before its own generation's Delete,
+//     so a Put at or below a tombstone carries an id issued again (by
+//     an owner restarted after compaction) and installs.
+//   - A delta applies iff the name holds its generation at the epoch
+//     just below it. A delta for an absent name or another generation
+//     addresses a deleted or replaced incarnation, or history a later
+//     snapshot already holds, and is skipped, as is one at or below the
+//     current epoch. A delta further ahead is ErrReplicaGap; one that
+//     changes nothing means the store diverged from the log.
 //
-// Generation ids resolve the remaining ambiguity: a record whose gen
-// does not match the reconstructed incarnation of its name belongs to a
-// replaced or deleted predecessor and is skipped.
-type replayer struct {
-	s     *Store
-	warm  bool
-	stats RecoverStats
-	// tombs records the highest generation deleted per name, so a
-	// checkpoint snapshot emitted concurrently with the delete cannot
-	// resurrect the graph.
-	tombs map[string]uint64
-}
-
-func (r *replayer) bumpGen(gen uint64) {
-	if gen > r.s.gen.Load() {
-		r.s.gen.Store(gen)
-	}
-}
-
-// install publishes a graph reconstructed from a full-graph record (Put
-// or checkpoint snapshot) as the named graph's state.
-func (r *replayer) install(name string, gen, epoch uint64, g *bigraph.Graph) {
-	s := r.s
-	sg := &StoredGraph{name: name, shared: &s.counters, st: s, gen: gen}
-	snap := trackSnapshot(&Snapshot{sg: sg, g: g, epoch: epoch, at: time.Now()})
-	sg.publish(snap)
-	s.mu.Lock()
-	s.graphs[name] = sg
-	s.mu.Unlock()
-	if r.warm {
-		if _, _, err := snap.Plan(); err == nil {
-			r.stats.PlanWarmed++
-		}
-	}
-}
-
-func (r *replayer) apply(rec wal.Record) error {
-	s := r.s
+// Deltas skip safely because, per graph, they are logged in epoch order
+// (Mutate appends under sg.mu) and a checkpoint snapshot is logged under
+// the same lock, so every later delta for that graph has a higher epoch.
+func (s *Store) applyRecord(rec wal.Record) (recordResult, error) {
 	switch rec.Type {
 	case wal.RecCheckpointEnd:
-		return nil
+		return recordResult{}, nil
 
-	case wal.RecPut:
-		r.bumpGen(rec.Gen)
-		if tg, ok := r.tombs[rec.Name]; ok && tg < rec.Gen {
-			delete(r.tombs, rec.Name)
-		}
-		if sg, ok := s.graphs[rec.Name]; ok && sg.gen > rec.Gen {
-			// A later incarnation was already established by a checkpoint
-			// snapshot that replayed before this older put.
-			r.stats.SkippedStale++
-			return nil
-		}
+	case wal.RecPut, wal.RecGraphSnap:
 		g, err := bigraph.UnmarshalGraph(rec.Payload)
 		if err != nil {
-			return err
+			return recordResult{}, err
 		}
-		r.install(rec.Name, rec.Gen, 0, g)
-		r.stats.Puts++
-		return nil
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.bumpGen(rec.Gen)
+		if tg, ok := s.tombs[rec.Name]; ok && tg >= rec.Gen && rec.Type == wal.RecGraphSnap {
+			return recordResult{effect: effTombstoned}, nil
+		}
+		if old, ok := s.graphs[rec.Name]; ok && (old.gen > rec.Gen || old.gen == rec.Gen && old.Epoch() >= rec.Epoch) {
+			return recordResult{effect: effStale}, nil
+		}
+		delete(s.tombs, rec.Name)
+		sg := s.newGraph(rec.Name, rec.Gen, rec.Epoch, g)
+		s.graphs[rec.Name] = sg
+		if rec.Type == wal.RecPut {
+			return recordResult{effect: effPut, snap: sg.Snapshot()}, nil
+		}
+		return recordResult{effect: effSnap, snap: sg.Snapshot()}, nil
 
 	case wal.RecDelete:
-		r.bumpGen(rec.Gen)
-		if tg, ok := r.tombs[rec.Name]; !ok || tg < rec.Gen {
-			r.tombs[rec.Name] = rec.Gen
-		}
-		if sg, ok := s.graphs[rec.Name]; ok && sg.gen == rec.Gen {
-			s.mu.Lock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.bumpGen(rec.Gen)
+		s.tombs[rec.Name] = max(s.tombs[rec.Name], rec.Gen)
+		if sg, ok := s.graphs[rec.Name]; ok && sg.gen <= rec.Gen {
 			delete(s.graphs, rec.Name)
-			s.mu.Unlock()
 		}
-		return nil
+		return recordResult{}, nil
 
 	case wal.RecDelta:
-		sg, ok := s.graphs[rec.Name]
-		if !ok || sg.gen != rec.Gen {
-			// Addressed to a deleted or replaced incarnation, or to
-			// history wholly behind a compacted checkpoint.
-			r.stats.SkippedStale++
-			return nil
-		}
-		old := sg.cur.Load()
-		if rec.Epoch <= old.epoch {
-			// Already covered by a checkpoint snapshot at a later epoch.
-			r.stats.SkippedStale++
-			return nil
-		}
-		if rec.Epoch != old.epoch+1 {
-			return fmt.Errorf("epoch gap: graph at %d, delta for %d", old.epoch, rec.Epoch)
-		}
 		d, err := bigraph.UnmarshalDelta(rec.Payload)
 		if err != nil {
-			return err
+			return recordResult{}, err
+		}
+		sg, ok := s.Get(rec.Name)
+		if !ok || sg.gen != rec.Gen {
+			return recordResult{effect: effStale}, nil
+		}
+		sg.mu.Lock()
+		defer sg.mu.Unlock()
+		old := sg.cur.Load()
+		if rec.Epoch <= old.epoch {
+			return recordResult{effect: effStale}, nil
+		}
+		if rec.Epoch != old.epoch+1 {
+			return recordResult{}, fmt.Errorf("%w: graph at epoch %d, delta for %d", ErrReplicaGap, old.epoch, rec.Epoch)
 		}
 		g2, eff, err := old.g.Apply(d)
 		if err != nil {
-			return err
+			return recordResult{}, err
 		}
 		if eff.Empty() {
-			// Only effective deltas are ever logged; an ineffective one
-			// means the graph state diverged from the log.
-			return errors.New("logged delta had no effect on the reconstructed graph")
+			return recordResult{}, errors.New("logged delta had no effect: the store diverged from the log")
 		}
-		snap := trackSnapshot(&Snapshot{sg: sg, g: g2, epoch: rec.Epoch, at: time.Now()})
-		// Same maintenance path as a live mutation, so recovery lands
-		// warm: plans repair across insertion batches and carry across
-		// deletions instead of forcing full rebuilds. An invalidated
-		// plan is left unbuilt for the first solve to rebuild lazily —
-		// replay never blocks on the planner.
-		if carryPlan(sg, old, snap, eff, nil) {
-			r.stats.PlansRebuilt++
-		} else if out := snap.planVal.Load(); out != nil {
-			r.stats.PlansCarried++
-		}
-		sg.publish(snap)
-		sg.mutations.Add(1)
-		if sg.shared != nil {
-			sg.shared.mutations.Add(1)
-		}
-		r.stats.Deltas++
-		return nil
-
-	case wal.RecGraphSnap:
-		r.bumpGen(rec.Gen)
-		if tg, ok := r.tombs[rec.Name]; ok && tg >= rec.Gen {
-			// Snapshot of a generation that was deleted; the delete record
-			// is authoritative (it was appended under the store lock).
-			r.stats.TombstonedFor++
-			return nil
-		}
-		if sg, ok := s.graphs[rec.Name]; ok {
-			if sg.gen > rec.Gen || (sg.gen == rec.Gen && sg.cur.Load().epoch >= rec.Epoch) {
-				// State already reconstructed past this snapshot (the
-				// deltas it summarizes replayed from an uncompacted
-				// prefix, or a newer incarnation exists).
-				r.stats.SkippedStale++
-				return nil
-			}
-		}
-		g, err := bigraph.UnmarshalGraph(rec.Payload)
-		if err != nil {
-			return err
-		}
-		r.install(rec.Name, rec.Gen, rec.Epoch, g)
-		r.stats.Snaps++
-		return nil
+		snap, plan := sg.publishNext(old, g2, eff)
+		return recordResult{effect: effDelta, snap: snap, plan: plan}, nil
 
 	default:
-		return fmt.Errorf("unhandled record type %d", rec.Type)
+		return recordResult{}, fmt.Errorf("unhandled record type %d", rec.Type)
+	}
+}
+
+// bumpGen raises the generation counter to at least gen, so no id the
+// store issues later repeats one a record carried. Callers hold s.mu,
+// as Put does when it issues an id.
+func (s *Store) bumpGen(gen uint64) {
+	if gen > s.gen.Load() {
+		s.gen.Store(gen)
+	}
+}
+
+// count tallies one replayed record.
+func (st *RecoverStats) count(a recordResult) {
+	switch a.effect {
+	case effStale:
+		st.SkippedStale++
+	case effTombstoned:
+		st.TombstonedFor++
+	case effPut:
+		st.Puts++
+	case effSnap:
+		st.Snaps++
+	case effDelta:
+		st.Deltas++
+		switch a.plan {
+		case "rebuilding":
+			st.PlansRebuilt++
+		case "reused", "repaired":
+			st.PlansCarried++
+		}
 	}
 }
 
 // OpenWAL attaches a write-ahead log at dir to the store, replaying any
-// durable history into it first: checkpoints and uploads re-parse
-// through the binary codec, deltas re-apply through Graph.Apply and the
-// plan-maintenance path, epochs land exactly where they were. When warm
-// is set, plans are built eagerly for every full-graph record so the
-// replayed deltas exercise repair instead of starting cold.
+// durable history into it first through applyRecord: checkpoints and
+// uploads re-parse through the binary codec, deltas re-apply through
+// Graph.Apply and the plan-maintenance path, epochs land exactly where
+// they were. When warm is set, each installed graph builds its plan
+// before the next record replays, so the deltas after it repair the plan
+// instead of starting cold; a plan a delta invalidates is left for the
+// first solve to rebuild.
 //
 // Replay finishes before the first new record can be appended, and every
 // graph the store already holds (there should be none) is untouched.
@@ -200,15 +188,25 @@ func (s *Store) OpenWAL(dir string, opt wal.Options, warm bool) (RecoverStats, e
 	if s.wal != nil {
 		return RecoverStats{}, errors.New("server: store already has a WAL")
 	}
-	r := &replayer{s: s, warm: warm, tombs: make(map[string]uint64)}
-	l, rs, err := wal.Open(dir, opt, r.apply)
-	r.stats.ReplayStats = rs
+	var st RecoverStats
+	l, rs, err := wal.Open(dir, opt, func(rec wal.Record) error {
+		a, err := s.applyRecord(rec)
+		if err != nil {
+			return err
+		}
+		st.count(a)
+		if warm && a.installed() {
+			if _, _, err := a.snap.Plan(); err == nil {
+				st.PlanWarmed++
+			}
+		}
+		return nil
+	})
+	st.ReplayStats = rs
 	if err != nil {
-		return r.stats, err
+		return st, err
 	}
 	s.wal = l
-	s.mu.RLock()
-	r.stats.Graphs = len(s.graphs)
-	s.mu.RUnlock()
-	return r.stats, nil
+	st.Graphs = s.Len()
+	return st, nil
 }

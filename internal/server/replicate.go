@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/bigraph"
 	"repro/internal/wal"
 )
 
@@ -103,113 +102,32 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ErrReplicaGap reports that the replication stream skipped state the
-// replica needs (a delta for an epoch or generation it never saw). The
-// consumer's remedy is a full resync: restart the stream from the
+// ErrReplicaGap reports a delta record more than one epoch ahead of
+// the incarnation it addresses: the log skipped state the store needs.
+// A replica's remedy is a full resync — restart the stream from the
 // owner's oldest segment, whose checkpoint head is complete state.
-var ErrReplicaGap = errors.New("replication stream out of sequence")
+var ErrReplicaGap = errors.New("WAL record out of sequence")
 
 // ApplyReplica folds one replicated WAL record into the store on a
-// replica. It mirrors the recovery replay rules — stale records are
-// skipped, full-graph records install idempotently, deltas must extend
-// the current epoch by exactly one (anything else is ErrReplicaGap) —
-// but with live locking, the *owner's* generation ids preserved, and no
-// append to this worker's own WAL (periodic local checkpoints still
-// capture replicated graphs, which is what lets a durable replica
-// restart warm and re-tail from where its checkpoint left it).
+// replica through applyRecord, the same rules crash recovery replays
+// by: the owner's generation ids are preserved, and nothing is appended
+// to this worker's own WAL (periodic local checkpoints still capture
+// replicated graphs, which is what lets a durable replica restart warm
+// and re-tail from where its checkpoint left it). A delta beyond the
+// next epoch is ErrReplicaGap; any other error means the record cannot
+// apply, and the store is left as it was.
 //
 // Every payload decodes through the versioned bigraph codec before any
 // state changes, so a frame from a newer-versioned owner is rejected
-// cleanly: the store is untouched, no partial apply. When warm is set,
-// installed graphs build their plans in the background; deltas always
-// take the carryPlan repair path, so replicas come up warm either way.
+// cleanly. When warm is set, installed graphs and deltas that
+// invalidated the plan build their plans in the background.
 func (s *Store) ApplyReplica(rec wal.Record, warm bool) error {
-	switch rec.Type {
-	case wal.RecCheckpointEnd:
-		return nil
-
-	case wal.RecPut, wal.RecGraphSnap:
-		g, err := bigraph.UnmarshalGraph(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("replicated %s of %q: %w", rec.Type, rec.Name, err)
-		}
-		epoch := uint64(0)
-		if rec.Type == wal.RecGraphSnap {
-			epoch = rec.Epoch
-		}
-		sg := &StoredGraph{name: rec.Name, shared: &s.counters, st: s, gen: rec.Gen}
-		snap := trackSnapshot(&Snapshot{sg: sg, g: g, epoch: epoch, at: time.Now()})
-		sg.publish(snap)
-		s.mu.Lock()
-		if old, ok := s.graphs[rec.Name]; ok {
-			if old.gen > rec.Gen || (old.gen == rec.Gen && old.cur.Load().epoch >= epoch) {
-				// Already at or past this state (a stream restart is
-				// re-delivering history).
-				s.mu.Unlock()
-				return nil
-			}
-		}
-		s.graphs[rec.Name] = sg
-		s.mu.Unlock()
-		if warm {
-			go snap.Plan()
-		}
-		return nil
-
-	case wal.RecDelete:
-		s.mu.Lock()
-		if sg, ok := s.graphs[rec.Name]; ok && sg.gen <= rec.Gen {
-			delete(s.graphs, rec.Name)
-		}
-		s.mu.Unlock()
-		return nil
-
-	case wal.RecDelta:
-		s.mu.RLock()
-		sg, ok := s.graphs[rec.Name]
-		s.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("%w: delta for unknown graph %q", ErrReplicaGap, rec.Name)
-		}
-		if sg.gen != rec.Gen {
-			if sg.gen > rec.Gen {
-				return nil // delta for a replaced incarnation: stale
-			}
-			return fmt.Errorf("%w: delta for %q generation %d, replica has %d", ErrReplicaGap, rec.Name, rec.Gen, sg.gen)
-		}
-		d, err := bigraph.UnmarshalDelta(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("replicated delta for %q: %w", rec.Name, err)
-		}
-		sg.mu.Lock()
-		defer sg.mu.Unlock()
-		old := sg.cur.Load()
-		if rec.Epoch <= old.epoch {
-			return nil // covered by a snapshot that installed a later epoch
-		}
-		if rec.Epoch != old.epoch+1 {
-			return fmt.Errorf("%w: %q at epoch %d, delta for %d", ErrReplicaGap, rec.Name, old.epoch, rec.Epoch)
-		}
-		g2, eff, err := old.g.Apply(d)
-		if err != nil {
-			return fmt.Errorf("replicated delta for %q: %w", rec.Name, err)
-		}
-		if eff.Empty() {
-			return fmt.Errorf("replicated delta for %q had no effect: replica diverged from owner", rec.Name)
-		}
-		snap := trackSnapshot(&Snapshot{sg: sg, g: g2, epoch: rec.Epoch, at: time.Now()})
-		rebuild := carryPlan(sg, old, snap, eff, nil)
-		sg.publish(snap)
-		sg.mutations.Add(1)
-		if sg.shared != nil {
-			sg.shared.mutations.Add(1)
-		}
-		if rebuild && warm {
-			go snap.Plan()
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("replicated record of unhandled type %d", rec.Type)
+	a, err := s.applyRecord(rec)
+	if err != nil {
+		return fmt.Errorf("replicated %s of %q: %w", rec.Type, rec.Name, err)
 	}
+	if warm && (a.installed() || a.plan == "rebuilding") {
+		go a.snap.Plan()
+	}
+	return nil
 }

@@ -134,18 +134,14 @@ func (sn *Snapshot) Plan() (plan *mbb.Plan, built bool, err error) {
 		built = true
 		start := time.Now()
 		sn.sg.planBuilds.Add(1)
-		if sh := sn.sg.shared; sh != nil {
-			sh.planBuilds.Add(1)
-		}
+		sn.sg.st.counters.planBuilds.Add(1)
 		p, perr := mbb.PlanContextEpoch(context.Background(), sn.g, sn.epoch)
 		sn.planVal.Store(&planOutcome{plan: p, err: perr, source: "built", nanos: int64(time.Since(start))})
 	})
 	out := sn.planVal.Load() // non-nil: Do returns only after the outcome stored it
 	if out.err == nil && !built {
 		sn.sg.planHits.Add(1)
-		if sh := sn.sg.shared; sh != nil {
-			sh.planHits.Add(1)
-		}
+		sn.sg.st.counters.planHits.Add(1)
 	}
 	return out.plan, built, out.err
 }
@@ -155,9 +151,8 @@ func (sn *Snapshot) Plan() (plan *mbb.Plan, built bool, err error) {
 // publish a successor with epoch+1, carrying the cached plan across when
 // mbb.Plan.ApplyDelta proves the delta cannot invalidate it.
 type StoredGraph struct {
-	name   string
-	shared *storeCounters // store-lifetime aggregates (nil outside a Store)
-	st     *Store         // owning store (nil outside a Store)
+	name string
+	st   *Store // owning store
 	// gen is the graph's generation id, unique across the store's life
 	// (including recoveries). Every WAL record carries it, so replay can
 	// tell a delta for this incarnation of the name from one addressed
@@ -225,20 +220,13 @@ func (sg *StoredGraph) PlanBuilds() int64 { return sg.planBuilds.Load() }
 // WAL-backed store).
 func (sg *StoredGraph) Generation() uint64 { return sg.gen }
 
-// retainWindow is how many trailing epochs this graph keeps resolvable.
-func (sg *StoredGraph) retainWindow() int {
-	if sg.st != nil && sg.st.retain > 0 {
-		return sg.st.retain
-	}
-	return 1
-}
-
 // publish makes snap the current snapshot and appends it to the
 // retention window, trimming the oldest unpinned snapshots beyond the
-// window. Callers serialize via sg.mu (or single-threaded replay).
+// window. Callers serialize via sg.mu (or own a graph not yet in the
+// store).
 func (sg *StoredGraph) publish(snap *Snapshot) {
 	sg.cur.Store(snap)
-	window := sg.retainWindow()
+	window := sg.st.retain
 	sg.retMu.Lock()
 	sg.retained = append(sg.retained, snap)
 	drop := 0
@@ -345,85 +333,79 @@ func (sg *StoredGraph) Mutate(d bigraph.Delta) (*Snapshot, MutationInfo, error) 
 		}
 		return old, info, nil
 	}
-	snap := trackSnapshot(&Snapshot{sg: sg, g: g2, epoch: old.epoch + 1, at: time.Now()})
 	// Durability before visibility: the effective delta must be in the
 	// WAL before any reader can observe the new epoch. A failed append
 	// fails the mutation — the store keeps serving the old snapshot.
-	if sg.st != nil && sg.st.wal != nil {
+	if sg.st.wal != nil {
 		payload, err := eff.AppendBinary(nil)
 		if err != nil {
 			return nil, MutationInfo{}, err
 		}
 		if err := sg.st.wal.Append(wal.Record{
-			Type: wal.RecDelta, Name: sg.name, Gen: sg.gen, Epoch: snap.epoch, Payload: payload,
+			Type: wal.RecDelta, Name: sg.name, Gen: sg.gen, Epoch: old.epoch + 1, Payload: payload,
 		}); err != nil {
 			return nil, MutationInfo{}, fmt.Errorf("wal append: %w", err)
 		}
 	}
-	rebuild := carryPlan(sg, old, snap, eff, &info.Plan)
-	sg.publish(snap)
-	sg.mutations.Add(1)
-	if sg.shared != nil {
-		sg.shared.mutations.Add(1)
-	}
+	snap, plan := sg.publishNext(old, g2, eff)
+	info.Plan = plan
 	info.Epoch = snap.epoch
 	info.Edges = g2.NumEdges()
-	if rebuild {
+	if plan == "rebuilding" {
 		// The previous version had a plan and the new one cannot inherit
 		// it. Rebuild in the background so in-flight traffic keeps solving
 		// on prior snapshots while the next query finds the plan warm (or
 		// at worst joins the build through the sync.Once).
 		go snap.Plan()
 	}
-	if sg.st != nil {
-		sg.st.noteAppend()
-	}
+	sg.st.noteAppend()
 	return snap, info, nil
+}
+
+// publishNext publishes g2 — old's graph with the effective delta eff
+// applied — as the next epoch, carrying old's plan across when
+// maintenance allows, and returns the new snapshot with the
+// MutationInfo.Plan word for what happened to the plan. Callers hold
+// sg.mu.
+func (sg *StoredGraph) publishNext(old *Snapshot, g2 *bigraph.Graph, eff bigraph.Delta) (*Snapshot, string) {
+	snap := trackSnapshot(&Snapshot{sg: sg, g: g2, epoch: old.epoch + 1, at: time.Now()})
+	plan := carryPlan(sg, old, snap, eff)
+	sg.publish(snap)
+	sg.mutations.Add(1)
+	sg.st.counters.mutations.Add(1)
+	return snap, plan
 }
 
 // carryPlan tries to move old's built plan onto snap across the
 // effective delta eff via mbb.Plan.ApplyDelta, pre-populating snap's
 // plan slot (and consuming its Once) when maintenance succeeds. It
-// returns true when the plan was invalidated and a rebuild is needed.
-// planState, when non-nil, receives the MutationInfo.Plan wire word.
-// Callers hold sg.mu (or run single-threaded replay).
-func carryPlan(sg *StoredGraph, old, snap *Snapshot, eff bigraph.Delta, planState *string) (rebuild bool) {
+// returns the MutationInfo.Plan word: "none" when old has no plan,
+// "rebuilding" when the delta invalidated it, else "repaired" or
+// "reused".
+func carryPlan(sg *StoredGraph, old, snap *Snapshot, eff bigraph.Delta) string {
 	out := old.planVal.Load()
 	if out == nil || out.err != nil {
-		return false
+		return "none"
 	}
 	start := time.Now()
 	p2, ok := out.plan.ApplyDelta(snap.g, eff, snap.epoch)
 	if !ok {
-		if planState != nil {
-			*planState = "rebuilding"
-		}
-		return true
+		return "rebuilding"
 	}
 	// Pre-populate before publishing: consume the Once so Plan() never
 	// rebuilds what the maintenance path already proved.
-	source := "inherited"
+	source, word := "inherited", "reused"
 	if p2.Repairs() > out.plan.Repairs() {
-		source = "repaired"
+		source, word = "repaired", "repaired"
 		sg.planRepairs.Add(1)
-		if sg.shared != nil {
-			sg.shared.planRepairs.Add(1)
-		}
-		if planState != nil {
-			*planState = "repaired"
-		}
+		sg.st.counters.planRepairs.Add(1)
 	} else {
 		sg.planReuses.Add(1)
-		if sg.shared != nil {
-			sg.shared.planReuses.Add(1)
-		}
-		if planState != nil {
-			*planState = "reused"
-		}
+		sg.st.counters.planReuses.Add(1)
 	}
 	snap.planVal.Store(&planOutcome{plan: p2, source: source, nanos: int64(time.Since(start))})
 	snap.planOnce.Do(func() {})
-	return false
+	return word
 }
 
 // GraphInfo is the JSON view of a stored graph's current snapshot.
@@ -498,11 +480,16 @@ type Store struct {
 	counters  storeCounters
 
 	// Durability. wal is nil for a volatile store; gen issues generation
-	// ids (restored past the replayed maximum on recovery); retain is the
+	// ids (raised past every generation a record carried); retain is the
 	// per-graph retention window (min 1).
 	wal    *wal.Log
 	gen    atomic.Uint64
 	retain int
+	// tombs maps each deleted name to the highest generation a Delete
+	// record named, so a checkpoint snapshot logged after the delete
+	// cannot resurrect it (see applyRecord). An entry lives until a
+	// record installs the name again. Guarded by mu.
+	tombs map[string]uint64
 
 	// Automatic checkpointing: after ckptEvery WAL appends a background
 	// single-flight checkpoint compacts the log.
@@ -516,7 +503,10 @@ type Store struct {
 // parsed upload (0 = unlimited); maxGraphs caps how many graphs the
 // store holds (0 = unlimited).
 func NewStore(maxVerts, maxGraphs int) *Store {
-	return &Store{graphs: make(map[string]*StoredGraph), maxVerts: maxVerts, maxGraphs: maxGraphs, retain: 1}
+	return &Store{
+		graphs: make(map[string]*StoredGraph), tombs: make(map[string]uint64),
+		maxVerts: maxVerts, maxGraphs: maxGraphs, retain: 1,
+	}
 }
 
 // SetRetainEpochs sets the per-graph snapshot retention window (minimum
@@ -565,16 +555,15 @@ func (s *Store) Put(name string, g *bigraph.Graph) (*StoredGraph, error) {
 	if !nameRe.MatchString(name) {
 		return nil, fmt.Errorf("invalid graph name %q (want [A-Za-z0-9._-], max 128 chars)", name)
 	}
-	sg := &StoredGraph{name: name, shared: &s.counters, st: s, gen: s.gen.Add(1)}
-	sg.publish(trackSnapshot(&Snapshot{sg: sg, g: g, at: time.Now()}))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, replacing := s.graphs[name]; !replacing && s.maxGraphs > 0 && len(s.graphs) >= s.maxGraphs {
 		return nil, fmt.Errorf("graph store is full (%d graphs)", s.maxGraphs)
 	}
-	// Appending under s.mu serializes the Put record against any Delete
-	// of the same name; the rare upload fsync briefly stalling reads is
-	// an accepted cost.
+	// Issuing the generation and appending under s.mu logs a name's
+	// Puts and Deletes in generation order; the rare upload fsync
+	// briefly stalling reads is an accepted cost.
+	sg := s.newGraph(name, s.gen.Add(1), 0, g)
 	if s.wal != nil {
 		if err := s.wal.Append(wal.Record{
 			Type: wal.RecPut, Name: name, Gen: sg.gen, Payload: g.AppendBinary(nil),
@@ -585,6 +574,14 @@ func (s *Store) Put(name string, g *bigraph.Graph) (*StoredGraph, error) {
 	s.graphs[name] = sg
 	s.noteAppend()
 	return sg, nil
+}
+
+// newGraph returns a graph of the store named name, with generation
+// gen, holding g as its first snapshot at epoch.
+func (s *Store) newGraph(name string, gen, epoch uint64, g *bigraph.Graph) *StoredGraph {
+	sg := &StoredGraph{name: name, st: s, gen: gen}
+	sg.publish(trackSnapshot(&Snapshot{sg: sg, g: g, epoch: epoch, at: time.Now()}))
+	return sg
 }
 
 // Get returns the named graph.

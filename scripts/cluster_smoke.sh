@@ -167,8 +167,7 @@ solve_triple "${PEER[0]}" "" | grep -q 'size=2 exact=true epoch=1' || fail "curr
 # with maximal bicliques at two distinct balanced sizes (2 and 1) at
 # epoch 2. After the replicas converge, every worker must answer the
 # same ?k=2 list for the same epoch — sizes descending, head equal to
-# the scalar answer — and the coordinator's /solveall must merge the
-# per-replica lists into that same exact answer.
+# the scalar answer.
 MUT=$(curl -fs -XPOST "$CBASE/graphs/smoke/edges" -d '{"add":[[2,2]]}')
 echo "$MUT" | grep -q '"epoch":2' || fail "top-k mutation did not bump epoch: $MUT"
 for i in 0 1 2; do
@@ -191,12 +190,6 @@ done
 echo "cluster_smoke: per-epoch top-k agrees on all workers: $WANT"
 echo "$WANT" | grep -q '"size":2 "size":2 "size":1' ||
     fail "top-k sizes wrong (want scalar 2, list [2 1]): $WANT"
-ALL=$(curl -fs -XPOST "$CBASE/graphs/smoke/solveall?k=2" -d '{"timeout":"30s"}')
-echo "$ALL" | grep -q '"epoch":2' || fail "solveall merged a stale epoch: $ALL"
-echo "$ALL" | grep -q '"exact":true' || fail "solveall merge not exact: $ALL"
-echo "$ALL" | grep -q '"bicliques":\[{"size":2' || fail "solveall list head is not size 2: $ALL"
-echo "$ALL" | grep -q '{"size":1' || fail "solveall list lacks the size-1 entry: $ALL"
-echo "$ALL" | grep -q '"workers":\[' || fail "solveall names no contributors: $ALL"
 
 # Kill the owner outright (no drain). Reads must keep serving through
 # the replicas; mutations to its shard must back off with Retry-After.
