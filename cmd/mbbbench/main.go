@@ -1,33 +1,21 @@
 // Command mbbbench regenerates the paper's tables and figures on the
-// synthetic workloads.
+// synthetic workloads, and runs the pinned node-count trajectory that
+// gates CI.
 //
 // Usage:
 //
-//	mbbbench -exp table4|table5|table6|fig4|fig5|fig6|servebench|mutebench|replay|trajectory|all
+//	mbbbench -exp table4|table5|table6|fig4|fig5|fig6|trajectory|all
 //	         [-budget 20s] [-maxverts 30000] [-instances 3]
 //	         [-sizes 32,64,128] [-densities 0.7,0.8,0.9,0.95]
 //	         [-datasets github,jester] [-seed 1] [-workers 4]
 //	         [-reduce auto|on|off] [-json] [-baseline BENCH_n.json]
-//	         [-serveurl http://host:8080] [-requests 32] [-clients 4]
 //
-// -exp servebench replays a solve-request mix against an mbbserved
-// daemon (started in-process unless -serveurl points at one) and reports
-// cold-vs-warm latency: the first request pays for parsing and the
-// reduce-and-conquer plan, every later one reuses the cached plan.
-// -exp mutebench replays an interleaved mutate/solve stream against the
-// daemon's edge-mutation endpoints, asserting every result is exact for
-// the epoch it reports and measuring plan maintenance vs rebuild.
-// -exp replay streams a temporal edge trace (timestamped power-law
-// insertions with churn deletions, batched per flush interval) through
-// the daemon's mutation API in arrival order, solving after every batch,
-// and reports the plan repair-vs-rebuild split plus solve latency — the
-// production-shaped counterpart to mutebench's synthetic rounds.
 // -exp trajectory is the CI benchmark trajectory: pinned sequential
-// solves (deterministic node counts) plus small servebench and mutebench
-// passes; with -baseline FILE the node counts gate against a previous
-// -json export and a >2x regression exits nonzero (after the JSON is
-// written). "all" runs only the paper artifacts and excludes the serving
-// benchmarks.
+// solves with deterministic search-node counts; with -baseline FILE the
+// node counts gate against a previous -json export and a >2x regression
+// exits nonzero (after the JSON is written). "all" runs only the paper
+// artifacts and excludes the trajectory. The serving layer is
+// benchmarked by bench/ (bash bench/run.sh), not here.
 //
 // With -json the human-readable tables go to standard error and a JSON
 // array of per-run records — one object per (experiment, dataset, solver)
@@ -56,7 +44,7 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiment: table4, table5, table6, fig4, fig5, fig6, all")
+	expFlag := flag.String("exp", "all", "experiment: table4, table5, table6, fig4, fig5, fig6, trajectory, all")
 	budget := flag.Duration("budget", 20*time.Second, "per-run budget (the paper used 4h)")
 	maxVerts := flag.Int("maxverts", 30000, "sparse dataset scale cap")
 	instances := flag.Int("instances", 3, "random instances per Table 4 cell")
@@ -68,11 +56,6 @@ func main() {
 	reduceFlag := flag.String("reduce", "auto", "reduce-and-conquer planner: auto (off for named solvers), on, off")
 	jsonOut := flag.Bool("json", false, "emit per-run timing records as JSON on stdout (tables move to stderr)")
 	baseline := flag.String("baseline", "", "previous -json export to gate node counts against (>2x regression fails)")
-	serveURL := flag.String("serveurl", "", "servebench/mutebench: base URL of a running mbbserved (empty = start one in-process)")
-	requests := flag.Int("requests", 32, "servebench: warm requests; mutebench: mutation rounds; replay: stream rounds")
-	clients := flag.Int("clients", 4, "servebench/mutebench: concurrent clients")
-	muteMix := flag.String("mutemix", "cycle", "mutebench mutation stream: cycle, insert (repair hot path), mixed")
-	walSync := flag.String("walsync", "", "servebench/mutebench: give the in-process daemon a WAL on a temp dir with this sync policy (always, interval, off; empty = volatile)")
 	flag.Parse()
 
 	out := os.Stdout
@@ -92,11 +75,6 @@ func main() {
 	cfg.Reduce = reduce
 	cfg.DenseSizes = parseInts(*sizes)
 	cfg.DenseDensities = parseFloats(*densities)
-	cfg.ServeURL = *serveURL
-	cfg.Requests = *requests
-	cfg.Clients = *clients
-	cfg.MuteMix = *muteMix
-	cfg.WALSync = *walSync
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}
@@ -111,13 +89,10 @@ func main() {
 		"fig4":       exp.Fig4,
 		"fig5":       exp.Fig5,
 		"fig6":       exp.Fig6,
-		"servebench": exp.ServeBench,
-		"mutebench":  exp.MuteBench,
-		"replay":     exp.Replay,
 		"trajectory": exp.Trajectory,
 	}
-	// The serving benchmarks replay traffic against a daemon rather than
-	// regenerating a paper artifact, so "all" deliberately excludes them.
+	// The trajectory is a CI gate rather than a paper artifact, so "all"
+	// deliberately excludes it.
 	order := []string{"table4", "table5", "table6", "fig4", "fig5", "fig6"}
 
 	which := strings.ToLower(*expFlag)

@@ -1,37 +1,39 @@
-// Command mbbsoak hammers an mbbserved daemon with a mixed
+// Command mbbsoak hammers mbbserved with a mixed
 // upload/mutate/solve/cancel/status workload for a configurable
 // duration and then asserts that nothing leaked: every job reaches a
-// terminal state, historical graph snapshots become collectible, and —
-// in in-process mode — the goroutine count returns to its baseline.
+// terminal state, historical graph snapshots become collectible, and
+// the goroutine count returns to its baseline.
 //
 // Usage:
 //
-//	mbbsoak [-duration 60s] [-clients 8] [-graphs 6] [-seed 1] [-url http://host:port]
-//	        [-restart [-data-dir dir]]
+//	mbbsoak [-duration 60s] [-clients 8] [-graphs 6] [-seed 1] [-workers 0]
+//	        [-url http://host:port | -restart [-data-dir dir] | -cluster N]
 //
-// With no -url it starts an in-process daemon on an ephemeral port,
-// runs the workload over real TCP (so client disconnects exercise the
-// real cancellation path), drains it exactly like SIGTERM would —
-// asserting that a submit during the drain gets 503 + Retry-After —
-// and finally checks the three leak gauges. With -url it targets a
-// remote daemon and limits the leak assertions to what /stats and
-// /metrics expose (no goroutine baseline across a process boundary).
+// The workload runs over real TCP, so client disconnects exercise the
+// real cancellation path, against one of these fleets:
 //
-// -restart makes the in-process daemon durable (write-ahead log under
-// -data-dir, interval sync, aggressive checkpointing) and adds a final
-// phase: a second server recovers the log and must reconstruct exactly
-// the drained state, with the snapshot-leak gauge settling at the
-// recovered retention windows.
+//   - by default, one in-process daemon. After the workload it is
+//     drained exactly like SIGTERM would, asserting that a submit during
+//     the drain gets 503 + Retry-After.
+//   - -restart makes that daemon durable (write-ahead log under
+//     -data-dir, interval sync, aggressive checkpointing) and adds a
+//     final phase: a second server recovers the log, must reconstruct
+//     exactly the drained state, and is put through the leak gauges in
+//     turn.
+//   - -cluster N runs N durable workers on one hash ring, each tailing
+//     its peers' /replicate streams, behind a coordinator that routes
+//     the whole workload (so misdirected requests surface as failures).
+//     The admission statuses a cluster legitimately produces (429 at
+//     saturation, 503 during bring-up) are tolerated and counted, and
+//     every graph must converge to its shard owner's exact epoch on
+//     every worker.
+//   - -url targets a remote daemon; the checks are limited to what
+//     /stats and /metrics expose.
 //
-// -cluster N runs the workload against an in-process N-worker cluster
-// behind a coordinator: every worker is durable, tails its peers'
-// /replicate streams, and the workload flows through the coordinator's
-// routing (so misdirected requests would surface as failures). The
-// admission statuses the cluster legitimately produces (429 at
-// saturation, 503 during bring-up) are tolerated and counted; the final
-// phase asserts every graph converged to its shard owner's exact epoch
-// on every worker before the leak gauges run, and the OK line reports
-// the fleet's replicated records and resyncs.
+// The leak gauges run on every in-process fleet once it is shut down:
+// live snapshots must fall to what the stores' retention windows hold,
+// goroutines to the baseline taken before the fleet started, and no
+// handler may have panicked.
 //
 // Exit status 0 means the workload ran clean and nothing leaked; any
 // unexpected response or leaked resource prints a diagnosis and exits 1.
@@ -40,6 +42,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -47,14 +50,13 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"encoding/json"
 
 	"repro/internal/cluster"
 	"repro/internal/server"
@@ -98,90 +100,76 @@ func run() int {
 	clusterN := flag.Int("cluster", 0, "run against an in-process N-worker cluster behind a coordinator (N >= 2)")
 	flag.Parse()
 
-	if *clusterN != 0 {
-		if *clusterN < 2 || *url != "" || *restart {
-			fmt.Fprintln(os.Stderr, "mbbsoak: -cluster needs N >= 2 and neither -url nor -restart")
-			return 1
-		}
-		return runCluster(*clusterN, *duration, *clients, *graphs, *seed, *workers)
+	if *clusterN != 0 && (*clusterN < 2 || *url != "" || *restart) {
+		fmt.Fprintln(os.Stderr, "mbbsoak: -cluster needs N >= 2 and neither -url nor -restart")
+		return 1
 	}
-
 	if *restart && *url != "" {
 		fmt.Fprintln(os.Stderr, "mbbsoak: -restart needs the in-process daemon (drop -url)")
 		return 1
 	}
+	tmp, err := os.MkdirTemp("", "mbbsoak-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mbbsoak:", err)
+		return 1
+	}
+	defer os.RemoveAll(tmp)
 	if *restart && *dataDir == "" {
-		d, err := os.MkdirTemp("", "mbbsoak-wal-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-			return 1
-		}
-		defer os.RemoveAll(d)
-		*dataDir = d
+		*dataDir = tmp
 	}
 
 	baseGoroutines := runtime.NumGoroutine()
+	fails := &failures{limit: 20}
 
-	var (
-		srv  *server.Server
-		hs   *http.Server
-		base string
-	)
-	if *url == "" {
-		opt := server.Options{
-			Workers:        *workers,
-			QueueCap:       64,
-			DefaultTimeout: 5 * time.Second,
-			MaxTimeout:     10 * time.Second,
-			CancelWait:     5 * time.Second,
-			AccessLog:      nil, // counted, not written — the soak measures, it does not archive
+	// One data directory per in-process daemon; "" keeps a single
+	// daemon volatile.
+	var dirs []string
+	switch {
+	case *clusterN > 0:
+		for i := 0; i < *clusterN; i++ {
+			dirs = append(dirs, filepath.Join(tmp, fmt.Sprintf("worker%d", i)))
 		}
-		if *restart {
-			// Durable mode: interval sync keeps upload-heavy soak traffic
-			// off the fsync critical path; a small checkpoint threshold
-			// makes background compaction actually fire during the run.
-			opt.DataDir = *dataDir
-			opt.WALSync = "interval"
-			opt.CheckpointEvery = 256
-			opt.RetainEpochs = 4
-		}
-		var err error
-		srv, err = server.New(opt)
-		if err != nil {
+	case *restart:
+		dirs = []string{*dataDir}
+	case *url == "":
+		dirs = []string{""}
+	}
+	f := &fleet{base: strings.TrimRight(*url, "/")}
+	if len(dirs) > 0 {
+		if f, err = startFleet(dirs, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "mbbsoak:", err)
 			return 1
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-			return 1
-		}
-		hs = &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		go hs.Serve(ln)
-		base = "http://" + ln.Addr().String()
-		fmt.Printf("mbbsoak: in-process daemon on %s\n", base)
 	} else {
-		base = strings.TrimRight(*url, "/")
-		fmt.Printf("mbbsoak: targeting %s\n", base)
+		fmt.Printf("mbbsoak: targeting %s\n", f.base)
 	}
 
 	tr := &http.Transport{MaxIdleConns: *clients * 2, MaxIdleConnsPerHost: *clients * 2}
 	httpc := &http.Client{Transport: tr, Timeout: 30 * time.Second}
 
+	var extra []int
+	if f.coord != nil {
+		if !eventually(10*time.Second, func() bool {
+			body, status := get(httpc, f.base+"/readyz")
+			return status == http.StatusOK && strings.Contains(body, fmt.Sprintf(`"workers_ready":%d`, len(f.nodes)))
+		}) {
+			fails.addf("cluster never reached %d ready workers", len(f.nodes))
+		}
+		extra = []int{http.StatusTooManyRequests, http.StatusServiceUnavailable}
+	}
+
 	ctr := &counters{}
-	fails := &failures{limit: 20}
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
 	defer cancel()
-
 	var wg sync.WaitGroup
 	for i := 0; i < *clients; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			c := &soakClient{
-				id: id, base: base, httpc: httpc,
+				id: id, base: f.base, httpc: httpc,
 				rng:    rand.New(rand.NewSource(*seed + int64(id))),
-				graphs: *graphs, ctr: ctr, fails: fails,
+				graphs: *graphs, ctr: ctr, fails: fails, extra: extra,
 			}
 			c.loop(ctx)
 		}(i)
@@ -190,92 +178,50 @@ func run() int {
 
 	ops := ctr.uploads.Load() + ctr.solves.Load() + ctr.submits.Load() + ctr.cancels.Load() +
 		ctr.mutates.Load() + ctr.reads.Load() + ctr.deletes.Load() + ctr.disconnects.Load()
-	fmt.Printf("mbbsoak: %v elapsed, %d ops (uploads %d, solves %d, submits %d, cancels %d, mutates %d, reads %d, deletes %d, disconnects %d, 503-retries %d)\n",
+	fmt.Printf("mbbsoak: %v elapsed, %d ops (uploads %d, solves %d, submits %d, cancels %d, mutates %d, reads %d, deletes %d, disconnects %d, 429/503 backoffs %d)\n",
 		*duration, ops, ctr.uploads.Load(), ctr.solves.Load(), ctr.submits.Load(), ctr.cancels.Load(),
 		ctr.mutates.Load(), ctr.reads.Load(), ctr.deletes.Load(), ctr.disconnects.Load(), ctr.retried.Load())
 
-	// Phase 2: quiesce — every job must reach a terminal state.
-	if !waitJobsIdle(httpc, base, srv, 30*time.Second) {
+	// Quiesce: every job must reach a terminal state.
+	if !eventually(30*time.Second, func() bool { return f.idle(httpc) }) {
 		fails.addf("jobs still live 30s after the workload stopped")
 	}
 
-	// /metrics must serve and expose the request counters.
-	if body, status := get(httpc, base+"/metrics"); status != http.StatusOK {
+	// /metrics must serve and expose the front end's request counters.
+	series := []string{"mbbserved_requests_total", "mbbserved_jobs_submitted_total"}
+	if f.coord != nil {
+		series = []string{"mbbcoord_forwards_total", "mbbcoord_workers_ready"}
+	}
+	if body, status := get(httpc, f.base+"/metrics"); status != http.StatusOK {
 		fails.addf("/metrics returned %d", status)
-	} else if !strings.Contains(body, "mbbserved_requests_total") || !strings.Contains(body, "mbbserved_jobs_submitted_total") {
-		fails.addf("/metrics is missing expected series")
+	} else {
+		for _, s := range series {
+			if !strings.Contains(body, s) {
+				fails.addf("/metrics is missing %s", s)
+			}
+		}
 	}
 
-	if srv != nil {
-		// Phase 3: drain exactly like SIGTERM, asserting its contract.
-		// The probe graph must exist — the handler 404s unknown names
-		// before the scheduler can say ErrDraining.
-		var pbuf bytes.Buffer
-		mbb.WriteGraph(&pbuf, mbb.GenerateDense(4, 4, 1.0, 1))
-		req, _ := http.NewRequest(http.MethodPut, base+"/graphs/drainprobe", &pbuf)
-		if resp, err := httpc.Do(req); err != nil {
-			fails.addf("upload drain probe: %v", err)
-		} else {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated {
-				fails.addf("upload drain probe: status %d", resp.StatusCode)
-			}
-		}
-		srv.BeginDrain()
-		resp, err := httpc.Post(base+"/graphs/drainprobe/jobs", "application/json", strings.NewReader("{}"))
-		if err != nil {
-			fails.addf("submit during drain: %v", err)
-		} else {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				fails.addf("submit during drain returned %d, want 503", resp.StatusCode)
-			} else if resp.Header.Get("Retry-After") == "" {
-				fails.addf("drain 503 lacks Retry-After")
-			}
-		}
-		drainCtx, cancelDrain := context.WithTimeout(context.Background(), 15*time.Second)
-		if err := srv.WaitIdle(drainCtx); err != nil {
-			fails.addf("drain did not go idle: %v", err)
-		}
-		cancelDrain()
-		shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := hs.Shutdown(shutCtx); err != nil {
-			fails.addf("http shutdown: %v", err)
-		}
-		cancelShut()
-		srv.Close()
+	switch {
+	case len(f.nodes) == 0:
+		// A remote daemon: no drain, no goroutine baseline across a
+		// process boundary.
+	case f.coord == nil:
+		drainProbe(httpc, f.nodes[0], fails)
+	default:
+		f.converge(httpc, *graphs, fails)
+	}
+
+	if len(f.nodes) > 0 {
+		f.shutdown(fails)
 		tr.CloseIdleConnections()
-
-		// Phase 4: leak gauges. Snapshots: after the drain every job
-		// released its pin, so GC must get the count back to one live
-		// snapshot per stored graph. Goroutines: back to the pre-daemon
-		// baseline.
-		stored := int64(srv.Store().Len())
-		if !eventually(10*time.Second, func() bool {
-			runtime.GC()
-			return server.LiveSnapshots() <= stored
-		}) {
-			fails.addf("snapshot leak: %d live, want <= %d (one per stored graph)", server.LiveSnapshots(), stored)
-		}
-		if !eventually(10*time.Second, func() bool {
-			runtime.GC()
-			return runtime.NumGoroutine() <= baseGoroutines
-		}) {
-			fails.addf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), baseGoroutines)
-			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
-		}
-		if n := srv.Metrics().Panics(); n > 0 {
-			fails.addf("%d handler panics during the soak", n)
-		}
-
-		// Phase 5 (-restart): reopen the WAL directory in a fresh server
-		// and assert recovery lands on exactly the drained state. The
-		// listing is the first daemon's last use, so the GC can reclaim
-		// its entire snapshot history during the phase.
+		f.checkLeaks(baseGoroutines, fails)
 		if *restart {
-			soakRestart(srv.Store().List(), *dataDir, *workers, fails)
+			// The listing is the first daemon's last use: once f is
+			// reassigned, the GC can reclaim its entire snapshot history.
+			if f = restartFleet(f.nodes[0].srv.Store().List(), *dataDir, *workers, fails); f != nil {
+				f.checkLeaks(baseGoroutines, fails)
+			}
 		}
 	}
 
@@ -292,12 +238,251 @@ func run() int {
 	return 0
 }
 
-// soakRestart is the -restart phase: a second server recovers the WAL
+// node is one in-process daemon; tm is nil outside a cluster.
+type node struct {
+	srv *server.Server
+	hs  *http.Server
+	tm  *cluster.TailManager
+	url string
+}
+
+// fleet is what the workload runs against: base is the URL the clients
+// hit, nodes the in-process daemons behind it — none for a remote
+// daemon, one serving base itself, or several behind coord.
+type fleet struct {
+	base  string
+	nodes []*node
+	coord *cluster.Coordinator
+	chs   *http.Server // the coordinator's listener
+}
+
+// startFleet starts one in-process daemon per data directory ("" =
+// volatile). More than one become the workers of a cluster: one hash
+// ring, full replication, and a coordinator in front.
+func startFleet(dirs []string, workers int) (*fleet, error) {
+	f := &fleet{}
+	lns := make([]net.Listener, len(dirs))
+	var peers []string
+	for i, dir := range dirs {
+		opt := server.Options{
+			Workers: workers, QueueCap: 64,
+			DefaultTimeout: 5 * time.Second, MaxTimeout: 10 * time.Second,
+			CancelWait: 5 * time.Second,
+			AccessLog:  nil, // counted, not written — the soak measures, it does not archive
+		}
+		if dir != "" {
+			// Interval sync keeps upload-heavy soak traffic off the fsync
+			// critical path; a small checkpoint threshold makes background
+			// compaction actually fire during the run.
+			opt.DataDir, opt.WALSync, opt.CheckpointEvery, opt.RetainEpochs = dir, "interval", 256, 4
+		}
+		if len(dirs) > 1 {
+			opt.MaxReplicaLag = -1 // no kills in this soak; never lag-gate the workload
+		}
+		srv, err := server.New(opt)
+		if err != nil {
+			return nil, err
+		}
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			return nil, err
+		}
+		f.nodes = append(f.nodes, &node{srv: srv, url: "http://" + lns[i].Addr().String()})
+		peers = append(peers, f.nodes[i].url)
+	}
+	for i, nd := range f.nodes {
+		if len(dirs) > 1 {
+			tm, err := cluster.NewTailManager(nd.srv.Store(), cluster.Config{Self: nd.url, Peers: peers, Replication: len(dirs)})
+			if err != nil {
+				return nil, err
+			}
+			nd.tm = tm
+			nd.srv.SetCluster(tm)
+		}
+		nd.hs = &http.Server{Handler: nd.srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+		go nd.hs.Serve(lns[i])
+		if nd.tm != nil {
+			nd.tm.Start()
+		}
+	}
+	f.base = f.nodes[0].url
+	if len(dirs) == 1 {
+		fmt.Printf("mbbsoak: in-process daemon on %s\n", f.base)
+		return f, nil
+	}
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+		Peers: peers, Replication: len(dirs), ProbeInterval: 100 * time.Millisecond,
+	})
+	if err != nil {
+		return nil, err
+	}
+	coord.Start()
+	cln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	f.coord = coord
+	f.chs = &http.Server{Handler: server.Chain(coord.Handler(), server.RequestID), ReadHeaderTimeout: 10 * time.Second}
+	go f.chs.Serve(cln)
+	f.base = "http://" + cln.Addr().String()
+	fmt.Printf("mbbsoak: %d-worker cluster behind coordinator %s\n", len(dirs), f.base)
+	return f, nil
+}
+
+// idle reports whether no job is queued or running: directly off every
+// in-process scheduler, via /stats against a remote daemon.
+func (f *fleet) idle(httpc *http.Client) bool {
+	if len(f.nodes) == 0 {
+		body, status := get(httpc, f.base+"/stats")
+		return status == http.StatusOK && strings.Contains(body, `"queued":0`) && strings.Contains(body, `"running":0`)
+	}
+	for _, nd := range f.nodes {
+		if nd.srv.Scheduler().Live() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// drainProbe begins a single daemon's drain exactly like SIGTERM and
+// asserts its contract: a submit during the drain gets 503 +
+// Retry-After. The probe graph must exist — the handler 404s unknown
+// names before the scheduler can say ErrDraining.
+func drainProbe(httpc *http.Client, nd *node, fails *failures) {
+	var pbuf bytes.Buffer
+	mbb.WriteGraph(&pbuf, mbb.GenerateDense(4, 4, 1.0, 1))
+	req, _ := http.NewRequest(http.MethodPut, nd.url+"/graphs/drainprobe", &pbuf)
+	if resp, err := httpc.Do(req); err != nil {
+		fails.addf("upload drain probe: %v", err)
+	} else {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			fails.addf("upload drain probe: status %d", resp.StatusCode)
+		}
+	}
+	nd.srv.BeginDrain()
+	resp, err := httpc.Post(nd.url+"/graphs/drainprobe/jobs", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		fails.addf("submit during drain: %v", err)
+		return
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		fails.addf("submit during drain returned %d, want 503", resp.StatusCode)
+	} else if resp.Header.Get("Retry-After") == "" {
+		fails.addf("drain 503 lacks Retry-After")
+	}
+}
+
+// converge asserts that every worker reaches its shard owner's exact
+// state (same epoch and shape, or the same absence) for every graph
+// name.
+func (f *fleet) converge(httpc *http.Client, graphs int, fails *failures) {
+	graphKey := func(url, name string) string {
+		body, status := get(httpc, url+"/graphs/"+name)
+		if status == http.StatusNotFound {
+			return "absent"
+		}
+		if status != http.StatusOK {
+			return fmt.Sprintf("status-%d", status)
+		}
+		var gi server.GraphInfo
+		if err := json.Unmarshal([]byte(body), &gi); err != nil {
+			return "undecodable"
+		}
+		return fmt.Sprintf("epoch=%d nl=%d nr=%d edges=%d", gi.Epoch, gi.NL, gi.NR, gi.Edges)
+	}
+	ring := f.nodes[0].tm.Ring()
+	for g := 0; g < graphs; g++ {
+		name := fmt.Sprintf("soak%d", g)
+		owner := ring.Owner(name)
+		if !eventually(20*time.Second, func() bool {
+			want := graphKey(owner, name)
+			for _, nd := range f.nodes {
+				if graphKey(nd.url, name) != want {
+					return false
+				}
+			}
+			return true
+		}) {
+			detail := ""
+			for _, nd := range f.nodes {
+				detail += fmt.Sprintf(" %s:[%s]", nd.url, graphKey(nd.url, name))
+			}
+			fails.addf("graph %s never converged to owner %s's state:%s", name, owner, detail)
+		}
+	}
+}
+
+// shutdown stops the fleet the way SIGTERM stops mbbserved: tails first
+// (so /replicate handlers unblock), then the coordinator, then each
+// daemon's drain, listener and server. A cluster prints its replication
+// totals: a resync loop shows as resyncs piling up.
+func (f *fleet) shutdown(fails *failures) {
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if f.coord != nil {
+		var applied, resyncs int64
+		for _, nd := range f.nodes {
+			nd.tm.Close()
+			st := nd.tm.Status()
+			applied += st.Applied
+			resyncs += st.Resyncs
+		}
+		fmt.Printf("mbbsoak: %d workers: %d records replicated, %d resyncs\n", len(f.nodes), applied, resyncs)
+		f.coord.Close()
+		if err := f.chs.Shutdown(ctx); err != nil {
+			fails.addf("coordinator shutdown: %v", err)
+		}
+	}
+	for _, nd := range f.nodes {
+		nd.srv.BeginDrain()
+		if err := nd.srv.WaitIdle(ctx); err != nil {
+			fails.addf("drain of %s did not go idle: %v", nd.url, err)
+		}
+		if err := nd.hs.Shutdown(ctx); err != nil {
+			fails.addf("http shutdown of %s: %v", nd.url, err)
+		}
+		nd.srv.Close()
+	}
+}
+
+// checkLeaks is the soak's one set of leak gauges, for a fleet already
+// shut down. Every job has released its pin, so the GC must get the live
+// snapshots down to what the stores' retention windows hold; the
+// goroutines must fall back to the baseline taken before any daemon
+// started; and no handler may have panicked.
+func (f *fleet) checkLeaks(baseGoroutines int, fails *failures) {
+	var retained, panics int64
+	for _, nd := range f.nodes {
+		retained += nd.srv.Store().RetainedSnapshots()
+		panics += nd.srv.Metrics().Panics()
+	}
+	if panics > 0 {
+		fails.addf("%d handler panics during the soak", panics)
+	}
+	if !eventually(10*time.Second, func() bool {
+		runtime.GC()
+		return server.LiveSnapshots() <= retained
+	}) {
+		fails.addf("snapshot leak: %d live, want <= %d retained", server.LiveSnapshots(), retained)
+	}
+	if !eventually(10*time.Second, func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= baseGoroutines
+	}) {
+		fails.addf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), baseGoroutines)
+		pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+	}
+}
+
+// restartFleet is the -restart phase: a second server recovers the WAL
 // directory the drained daemon wrote, and must reconstruct exactly the
-// graphs it was serving — same names, epochs and sizes. Afterwards the
-// snapshot-leak gauge must settle at the recovered retention windows:
-// the first daemon's whole snapshot history has to be collectible.
-func soakRestart(want []server.GraphInfo, dataDir string, workers int, fails *failures) {
+// graphs it was serving — same names, epochs and sizes. It returns the
+// recovered server, closed, as a fleet of one for the leak gauges, or
+// nil when it could not open.
+func restartFleet(want []server.GraphInfo, dataDir string, workers int, fails *failures) *fleet {
 	type gkey struct {
 		Name          string
 		Epoch         uint64
@@ -312,7 +497,7 @@ func soakRestart(want []server.GraphInfo, dataDir string, workers int, fails *fa
 	})
 	if err != nil {
 		fails.addf("reopen %s: %v", dataDir, err)
-		return
+		return nil
 	}
 	defer srv.Close()
 	rs := srv.RecoveredStats()
@@ -332,233 +517,7 @@ func soakRestart(want []server.GraphInfo, dataDir string, workers int, fails *fa
 			fails.addf("restart invented graph %+v", k)
 		}
 	}
-	if !eventually(10*time.Second, func() bool {
-		runtime.GC()
-		return server.LiveSnapshots() <= srv.Store().RetainedSnapshots()
-	}) {
-		fails.addf("snapshot leak across restart: %d live, want <= %d retained",
-			server.LiveSnapshots(), srv.Store().RetainedSnapshots())
-	}
-}
-
-// runCluster is the -cluster pass: N durable workers on one hash ring
-// behind a coordinator, the whole workload routed through the
-// coordinator, then convergence and leak assertions.
-func runCluster(n int, duration time.Duration, clients, graphs int, seed int64, workers int) int {
-	baseGoroutines := runtime.NumGoroutine()
-	fails := &failures{limit: 20}
-
-	type node struct {
-		srv *server.Server
-		hs  *http.Server
-		tm  *cluster.TailManager
-		url string
-	}
-	nodes := make([]*node, n)
-	var peers []string
-	lns := make([]net.Listener, n)
-	for i := range nodes {
-		dir, err := os.MkdirTemp("", "mbbsoak-cluster-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-			return 1
-		}
-		defer os.RemoveAll(dir)
-		srv, err := server.New(server.Options{
-			Workers: workers, QueueCap: 64,
-			DefaultTimeout: 5 * time.Second, MaxTimeout: 10 * time.Second,
-			CancelWait: 5 * time.Second,
-			DataDir:    dir, WALSync: "interval", CheckpointEvery: 256, RetainEpochs: 4,
-			MaxReplicaLag: -1, // no kills in this pass; never lag-gate the workload
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-			return 1
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-			return 1
-		}
-		lns[i] = ln
-		nodes[i] = &node{srv: srv, url: "http://" + ln.Addr().String()}
-		peers = append(peers, nodes[i].url)
-	}
-	for i, nd := range nodes {
-		tm, err := cluster.NewTailManager(nd.srv.Store(), cluster.Config{Self: nd.url, Peers: peers, Replication: n})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-			return 1
-		}
-		nd.tm = tm
-		nd.srv.SetCluster(tm)
-		nd.hs = &http.Server{Handler: nd.srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		go nd.hs.Serve(lns[i])
-		tm.Start()
-	}
-
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Peers: peers, Replication: n, ProbeInterval: 100 * time.Millisecond,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-		return 1
-	}
-	coord.Start()
-	cln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbbsoak:", err)
-		return 1
-	}
-	chs := &http.Server{Handler: server.Chain(coord.Handler(), server.RequestID), ReadHeaderTimeout: 10 * time.Second}
-	go chs.Serve(cln)
-	base := "http://" + cln.Addr().String()
-	fmt.Printf("mbbsoak: %d-worker cluster behind coordinator %s\n", n, base)
-
-	tr := &http.Transport{MaxIdleConns: clients * 2, MaxIdleConnsPerHost: clients * 2}
-	httpc := &http.Client{Transport: tr, Timeout: 30 * time.Second}
-
-	if !eventually(10*time.Second, func() bool {
-		body, status := get(httpc, base+"/readyz")
-		return status == http.StatusOK && strings.Contains(body, fmt.Sprintf(`"workers_ready":%d`, n))
-	}) {
-		fails.addf("cluster never reached %d ready workers", n)
-	}
-
-	ctr := &counters{}
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c := &soakClient{
-				id: id, base: base, httpc: httpc,
-				rng:    rand.New(rand.NewSource(seed + int64(id))),
-				graphs: graphs, ctr: ctr, fails: fails,
-				extra: []int{http.StatusTooManyRequests, http.StatusServiceUnavailable},
-			}
-			c.loop(ctx)
-		}(i)
-	}
-	wg.Wait()
-
-	ops := ctr.uploads.Load() + ctr.solves.Load() + ctr.submits.Load() + ctr.cancels.Load() +
-		ctr.mutates.Load() + ctr.reads.Load() + ctr.deletes.Load() + ctr.disconnects.Load()
-	fmt.Printf("mbbsoak: %v elapsed, %d ops via coordinator (uploads %d, solves %d, submits %d, cancels %d, mutates %d, reads %d, deletes %d, disconnects %d, backoffs %d)\n",
-		duration, ops, ctr.uploads.Load(), ctr.solves.Load(), ctr.submits.Load(), ctr.cancels.Load(),
-		ctr.mutates.Load(), ctr.reads.Load(), ctr.deletes.Load(), ctr.disconnects.Load(), ctr.retried.Load())
-
-	// Quiesce every worker's scheduler.
-	for _, nd := range nodes {
-		nd := nd
-		if !eventually(30*time.Second, func() bool { return nd.srv.Scheduler().Live() == 0 }) {
-			fails.addf("worker %s still has live jobs 30s after the workload stopped", nd.url)
-		}
-	}
-
-	// The coordinator's own metrics must serve.
-	if body, status := get(httpc, base+"/metrics"); status != http.StatusOK {
-		fails.addf("coordinator /metrics returned %d", status)
-	} else if !strings.Contains(body, "mbbcoord_forwards_total") || !strings.Contains(body, "mbbcoord_workers_ready") {
-		fails.addf("coordinator /metrics is missing mbbcoord series")
-	}
-
-	// Convergence: every worker must reach its shard owner's exact state
-	// (same epoch and shape, or the same absence) for every graph name.
-	graphKey := func(url, name string) string {
-		body, status := get(httpc, url+"/graphs/"+name)
-		if status == http.StatusNotFound {
-			return "absent"
-		}
-		if status != http.StatusOK {
-			return fmt.Sprintf("status-%d", status)
-		}
-		var gi server.GraphInfo
-		if err := json.Unmarshal([]byte(body), &gi); err != nil {
-			return "undecodable"
-		}
-		return fmt.Sprintf("epoch=%d nl=%d nr=%d edges=%d", gi.Epoch, gi.NL, gi.NR, gi.Edges)
-	}
-	ring := nodes[0].tm.Ring()
-	for g := 0; g < graphs; g++ {
-		name := fmt.Sprintf("soak%d", g)
-		owner := ring.Owner(name)
-		if !eventually(20*time.Second, func() bool {
-			want := graphKey(owner, name)
-			for _, nd := range nodes {
-				if graphKey(nd.url, name) != want {
-					return false
-				}
-			}
-			return true
-		}) {
-			detail := ""
-			for _, nd := range nodes {
-				detail += fmt.Sprintf(" %s:[%s]", nd.url, graphKey(nd.url, name))
-			}
-			fails.addf("graph %s never converged to owner %s's state:%s", name, owner, detail)
-		}
-	}
-
-	// Shutdown: stop tailing first (so /replicate handlers unblock), then
-	// the coordinator, then the workers. The fleet's replication totals
-	// go on the OK line: a resync loop shows as resyncs piling up.
-	var resyncs, applied int64
-	for _, nd := range nodes {
-		nd.tm.Close()
-		st := nd.tm.Status()
-		resyncs += st.Resyncs
-		applied += st.Applied
-	}
-	coord.Close()
-	shutCtx, cancelShut := context.WithTimeout(context.Background(), 10*time.Second)
-	if err := chs.Shutdown(shutCtx); err != nil {
-		fails.addf("coordinator shutdown: %v", err)
-	}
-	for _, nd := range nodes {
-		if err := nd.hs.Shutdown(shutCtx); err != nil {
-			fails.addf("worker shutdown: %v", err)
-		}
-		nd.srv.Close()
-	}
-	cancelShut()
-	tr.CloseIdleConnections()
-
-	// Leak gauges across the whole fleet.
-	var retained int64
-	for _, nd := range nodes {
-		retained += nd.srv.Store().RetainedSnapshots()
-		if p := nd.srv.Metrics().Panics(); p > 0 {
-			fails.addf("%d handler panics on worker %s", p, nd.url)
-		}
-	}
-	if !eventually(10*time.Second, func() bool {
-		runtime.GC()
-		return server.LiveSnapshots() <= retained
-	}) {
-		fails.addf("snapshot leak: %d live, want <= %d retained across %d workers", server.LiveSnapshots(), retained, n)
-	}
-	if !eventually(10*time.Second, func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= baseGoroutines
-	}) {
-		fails.addf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), baseGoroutines)
-		pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
-	}
-
-	fails.mu.Lock()
-	defer fails.mu.Unlock()
-	if fails.n > 0 {
-		fmt.Fprintf(os.Stderr, "mbbsoak: FAIL: %d unexpected outcomes\n", fails.n)
-		for _, m := range fails.msgs {
-			fmt.Fprintln(os.Stderr, "mbbsoak:   ", m)
-		}
-		return 1
-	}
-	fmt.Printf("mbbsoak: OK — %d workers converged (%d records replicated, %d resyncs), zero leaked goroutines, jobs and snapshots\n", n, applied, resyncs)
-	return 0
+	return &fleet{nodes: []*node{{srv: srv}}}
 }
 
 // eventually polls cond (with backoff) until it holds or the deadline
@@ -577,21 +536,6 @@ func eventually(d time.Duration, cond func() bool) bool {
 		}
 		time.Sleep(wait)
 	}
-}
-
-// waitJobsIdle waits until no job is queued or running — directly off
-// the scheduler in-process, via /stats against a remote daemon.
-func waitJobsIdle(httpc *http.Client, base string, srv *server.Server, d time.Duration) bool {
-	return eventually(d, func() bool {
-		if srv != nil {
-			return srv.Scheduler().Live() == 0
-		}
-		body, status := get(httpc, base+"/stats")
-		if status != http.StatusOK {
-			return false
-		}
-		return strings.Contains(body, `"queued":0`) && strings.Contains(body, `"running":0`)
-	})
 }
 
 func get(httpc *http.Client, url string) (string, int) {

@@ -94,8 +94,8 @@
 // path against a from-scratch rebuild and FuzzPlanMaintain checks
 // maintained plans against cold plans and the brute-force oracle. See
 // DESIGN.md §6–7 for the API, a curl quick-start and the maintenance
-// rules; cmd/mbbbench -exp servebench measures the amortization and
-// -exp mutebench the mutate/solve interleaving per plan outcome.
+// rules; the benchmark in bench/ (bash bench/run.sh) measures the
+// daemon under load and mutations beside solves.
 //
 // The daemon is durable and clusterable. With -data-dir, every
 // upload/mutation/delete is appended to a write-ahead delta log

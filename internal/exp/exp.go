@@ -9,7 +9,8 @@
 // harness measures exactly what library users run; each run gets a fresh
 // core.Exec carrying the per-run budget. An optional Recorder captures
 // every timed run as a structured Record for JSON export
-// (cmd/mbbbench -json).
+// (cmd/mbbbench -json). Trajectory solves a pinned, seeded subset whose
+// search-node counts CompareRecords gates across commits.
 package exp
 
 import (
@@ -66,28 +67,6 @@ type Config struct {
 	Recorder *Recorder
 
 	Seed int64
-
-	// ServeBench settings (cmd/mbbbench -exp servebench): ServeURL is an
-	// already-running mbbserved base URL — empty starts an in-process
-	// daemon — and Requests warm queries are replayed by Clients
-	// concurrent clients after one cold query.
-	ServeURL string
-	Requests int
-	Clients  int
-
-	// MuteMix selects the mutebench mutation stream: "cycle" (default —
-	// rounds alternate deletion-only, insertion-only, mixed), "insert"
-	// (insertion-only, the plan-repair hot path), or "mixed" (every
-	// round both inserts and deletes).
-	MuteMix string
-
-	// WALSync, when non-empty, makes the in-process daemon durable: it
-	// opens a write-ahead log on a temporary data directory with this
-	// sync policy ("always", "interval" or "off"). Empty keeps the
-	// daemon volatile (no WAL), the baseline every WAL-on run is
-	// compared against. Ignored when ServeURL points at an external
-	// daemon.
-	WALSync string
 }
 
 // DefaultConfig returns a configuration sized to finish in a few minutes.

@@ -172,62 +172,100 @@ func TestMutationPlanReuse(t *testing.T) {
 	}
 }
 
-// TestMutationPlanRepair: an insertion batch on a planned graph is
-// absorbed by bounded local repair — plan_builds stays at 1, the store
-// counts a repair, and the repaired plan still solves exactly (checked
-// against a cold planner run on the mutated graph).
+// TestMutationPlanRepair: a mutation on a planned graph keeps its plan
+// without a second planner run. An insertion batch is absorbed by
+// bounded local repair; a one-edge deletion whose left endpoint lies
+// outside the heuristic witness carries the plan across unchanged. Either
+// way plan_builds stays at 1, the store counts the outcome, and the
+// maintained plan still solves exactly (checked against a cold planner
+// run on the mutated graph).
 func TestMutationPlanRepair(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 2})
-	g := mbb.GeneratePowerLaw(100, 100, 600, 9)
-	var sb strings.Builder
-	if err := mbb.WriteGraph(&sb, g); err != nil {
-		t.Fatal(err)
-	}
-	putGraph(t, ts, "pr", sb.String(), "")
-	solveSync(t, ts, "pr", "") // builds the plan
-
-	sg, _ := srv.Store().Get("pr")
-	// Insert a batch of fresh edges; a pristine plan must repair.
-	var adds [][2]int
-	for l := 0; l < g.NL() && len(adds) < 3; l++ {
-		for r := 0; r < g.NR() && len(adds) < 3; r++ {
-			if !g.HasEdge(l, g.NL()+r) {
-				adds = append(adds, [2]int{l, r})
+	for _, tc := range []struct {
+		name            string
+		delta           func(g *bigraph.Graph, seed mbb.Biclique) bigraph.Delta
+		plan            string // MutationInfo.Plan
+		source          string // GraphInfo.PlanSource
+		repairs, reuses int64
+	}{
+		{"insert", func(g *bigraph.Graph, _ mbb.Biclique) bigraph.Delta {
+			// A batch of fresh edges; a pristine plan must repair.
+			var adds [][2]int
+			for l := 0; l < g.NL() && len(adds) < 3; l++ {
+				for r := 0; r < g.NR() && len(adds) < 3; r++ {
+					if !g.HasEdge(l, g.NL()+r) {
+						adds = append(adds, [2]int{l, r})
+					}
+				}
 			}
-		}
-	}
-	body, err := json.Marshal(bigraph.Delta{Add: adds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, data := do(t, http.MethodPost, ts.URL+"/graphs/pr/edges", strings.NewReader(string(body)))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("mutate: %d %s", resp.StatusCode, data)
-	}
-	mi := decode[MutationInfo](t, data)
-	if mi.Plan != "repaired" {
-		t.Fatalf("insertion batch reported plan %q, want repaired", mi.Plan)
-	}
-	info := sg.Info()
-	if info.PlanBuilds != 1 {
-		t.Fatalf("plan_builds = %d after a repaired insertion, want 1", info.PlanBuilds)
-	}
-	if info.PlanRepairs != 1 || info.PlanSource != "repaired" {
-		t.Fatalf("plan_repairs=%d plan_source=%q, want 1 and repaired", info.PlanRepairs, info.PlanSource)
-	}
-	job := solveSync(t, ts, "pr", "")
-	if job.Result == nil || !job.Result.Exact || job.Result.Epoch != mi.Epoch {
-		t.Fatalf("solve after repair: %+v", job.Result)
-	}
-	if !job.Result.PlanCached {
-		t.Error("solve after repair did not hit the plan cache")
-	}
-	cold, err := mbb.Solve(sg.Graph(), &mbb.Options{Reduce: mbb.ReduceOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Result.Size != cold.Biclique.Size() {
-		t.Errorf("repaired plan found %d, cold planner found %d", job.Result.Size, cold.Biclique.Size())
+			return bigraph.Delta{Add: adds}
+		}, "repaired", "repaired", 1, 0},
+		{"delete-outside-witness", func(g *bigraph.Graph, seed mbb.Biclique) bigraph.Delta {
+			inSeed := make(map[int]bool, len(seed.A))
+			for _, v := range seed.A {
+				inSeed[v] = true
+			}
+			for _, e := range g.Edges() {
+				if !inSeed[e[0]] {
+					return bigraph.Delta{Del: [][2]int{e}}
+				}
+			}
+			return bigraph.Delta{}
+		}, "reused", "inherited", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, Options{Workers: 2})
+			g := mbb.GeneratePowerLaw(100, 100, 600, 9)
+			var sb strings.Builder
+			if err := mbb.WriteGraph(&sb, g); err != nil {
+				t.Fatal(err)
+			}
+			putGraph(t, ts, "pr", sb.String(), "")
+			solveSync(t, ts, "pr", "") // builds the plan
+
+			sg, _ := srv.Store().Get("pr")
+			plan, _, err := sg.Snapshot().Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := tc.delta(g, plan.Seed())
+			if d.Empty() {
+				t.Fatal("no mutation to apply")
+			}
+			body, err := json.Marshal(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, data := do(t, http.MethodPost, ts.URL+"/graphs/pr/edges", strings.NewReader(string(body)))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("mutate: %d %s", resp.StatusCode, data)
+			}
+			mi := decode[MutationInfo](t, data)
+			if mi.Plan != tc.plan {
+				t.Fatalf("mutation reported plan %q, want %s", mi.Plan, tc.plan)
+			}
+			info := sg.Info()
+			if info.PlanBuilds != 1 {
+				t.Fatalf("plan_builds = %d after a %s mutation, want 1", info.PlanBuilds, tc.plan)
+			}
+			if info.PlanRepairs != tc.repairs || info.PlanReuses != tc.reuses || info.PlanSource != tc.source {
+				t.Fatalf("plan_repairs=%d plan_reuses=%d plan_source=%q, want %d, %d and %s",
+					info.PlanRepairs, info.PlanReuses, info.PlanSource, tc.repairs, tc.reuses, tc.source)
+			}
+			job := solveSync(t, ts, "pr", "")
+			if job.Result == nil || !job.Result.Exact || job.Result.Epoch != mi.Epoch {
+				t.Fatalf("solve after the mutation: %+v", job.Result)
+			}
+			if !job.Result.PlanCached {
+				t.Error("solve after the mutation did not hit the plan cache")
+			}
+			cold, err := mbb.Solve(sg.Graph(), &mbb.Options{Reduce: mbb.ReduceOn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job.Result.Size != cold.Biclique.Size() {
+				t.Errorf("maintained plan found %d, cold planner found %d", job.Result.Size, cold.Biclique.Size())
+			}
+		})
 	}
 }
 

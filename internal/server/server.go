@@ -256,7 +256,7 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Store exposes the graph store (used by preloading and tests).
 func (s *Server) Store() *Store { return s.store }
 
-// Scheduler exposes the job scheduler (used by tests and servebench).
+// Scheduler exposes the job scheduler (used by tests, mbbserved and mbbsoak).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
 // Metrics exposes the request counters (used by tests and mbbsoak).

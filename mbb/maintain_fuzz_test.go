@@ -2,6 +2,7 @@ package mbb_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -24,7 +25,7 @@ import (
 // fuzzes for minutes.
 
 // checkMaintained verifies one maintained plan against the cold planner
-// and the brute-force oracle.
+// and the brute-force oracle, for the scalar solve and a top-3 query.
 func checkMaintained(t *testing.T, p *mbb.Plan, g *mbb.Graph) {
 	t.Helper()
 	got, err := p.SolveContext(context.Background(), nil)
@@ -49,6 +50,21 @@ func checkMaintained(t *testing.T, p *mbb.Plan, g *mbb.Graph) {
 	}
 	if !got.Biclique.IsBicliqueOf(g) {
 		t.Fatal("maintained plan returned a non-biclique of the mutated graph")
+	}
+	top, err := p.SolveContext(context.Background(), &mbb.Options{TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int, len(top.Bicliques))
+	for i, bc := range top.Bicliques {
+		sizes[i] = bc.Size()
+		if !bc.IsBicliqueOf(g) || !bc.IsBalanced() {
+			t.Fatalf("maintained plan's top-3 witness %v is not a balanced biclique of the mutated graph", bc)
+		}
+	}
+	if want := baseline.TopKSizes(nil, g, 3, 0); !slices.Equal(sizes, want) {
+		t.Fatalf("maintained plan's top-3 sizes %v, oracle %v (graph %dx%d/%d)",
+			sizes, want, g.NL(), g.NR(), g.NumEdges())
 	}
 }
 

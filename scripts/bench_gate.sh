@@ -1,33 +1,29 @@
 #!/usr/bin/env bash
 # CI benchmark trajectory: run the pinned subset (cmd/mbbbench -exp
-# trajectory), write the machine-readable record file ($BENCH_OUT,
-# default BENCH_8.json — per-solve seconds and search nodes, servebench
-# cold/warm/burst latencies, mutebench mutate/solve percentiles per plan
-# outcome including the insert-heavy repair-path mix and a WAL-on pass
-# whose -wal-suffixed records measure the write-ahead-log overhead of
-# the durable mutation path against the volatile records; the intent is
-# that wal-sync=interval stays under 1.15x of the volatile mutate p50),
-# and gate the deterministic node counts against the newest committed
-# BENCH_*.json when one exists: a pin spending more than 2x the
-# baseline's search nodes fails the job. The JSON is written even when
-# the gate fails so CI can archive the regressing trajectory.
+# trajectory) — sequential seeded solves whose search-node counts are
+# deterministic for a given code version — write the records to
+# $BENCH_OUT, and gate the node counts against the newest committed
+# BENCH_<n>.json: a pin spending more than 2x the baseline's search
+# nodes fails the job. $BENCH_OUT defaults to BENCH_<n+1>.json, so a
+# local run never overwrites the baseline it gates against. The JSON is
+# written even when the gate fails so CI can archive the regressing
+# trajectory.
 set -euo pipefail
 
-OUT="${BENCH_OUT:-BENCH_8.json}"
 BUDGET="${BENCH_BUDGET:-15s}"
 
 baseline_args=()
 prev="$(git ls-files 'BENCH_*.json' | sort -V | tail -n1 || true)"
+next=1
 if [ -n "$prev" ]; then
-    # The fresh run may overwrite the baseline's file (same PR number), so
-    # compare against a copy of the committed content.
-    base_copy="$(mktemp)"
-    git show "HEAD:$prev" > "$base_copy" 2>/dev/null || cp "$prev" "$base_copy"
     echo "bench_gate: baseline $prev" >&2
-    baseline_args=(-baseline "$base_copy")
+    baseline_args=(-baseline "$prev")
+    n="${prev#BENCH_}"
+    next=$((${n%.json} + 1))
 else
     echo "bench_gate: no committed BENCH_*.json baseline; recording only" >&2
 fi
+OUT="${BENCH_OUT:-BENCH_$next.json}"
 
 status=0
 go run ./cmd/mbbbench -exp trajectory -json -budget "$BUDGET" \
