@@ -6,44 +6,47 @@
 package heur
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bigraph"
 )
 
 // Greedy finds a balanced biclique by seeded alternating expansion: it
-// anchors at each of the `seeds` highest-scoring vertices in turn, then
-// repeatedly extends the smaller side with the highest-scoring compatible
-// candidate. score is indexed by unified vertex id — pass degrees for the
-// max-degree rule or core numbers for the max-core rule. The best biclique
-// over all seeds is returned.
+// anchors at each of the `seeds` highest-scoring vertices in turn (score
+// descending, ties broken by ascending id), then repeatedly extends the
+// smaller side with the highest-scoring compatible candidate. score is
+// indexed by unified vertex id — pass degrees for the max-degree rule or
+// core numbers for the max-core rule. The first largest biclique over all
+// seeds is returned.
+//
+// The seeds are selected in one pass over the vertices with a sorted
+// buffer of `seeds` entries: O(n) time for the small seed counts callers
+// use (O(n·seeds) at worst), plus the expansions. Because only a strictly
+// larger biclique replaces the best one, three skips leave the result
+// unchanged:
+//   - once the best size reaches min(NL, NR) no balanced biclique can be
+//     larger, so the remaining seeds are not tried;
+//   - a seed u with deg(u) ≤ best is skipped, because the side opposite
+//     u is drawn from N(u);
+//   - an expansion stops before growing when 1 + |two-hop(u)| ≤ best,
+//     because u's own side is drawn from u and its two-hop set.
 func Greedy(g *bigraph.Graph, score []int, seeds int) bigraph.Biclique {
 	n := g.NumVertices()
 	if n == 0 || g.NumEdges() == 0 {
 		return bigraph.Biclique{}
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if score[order[i]] != score[order[j]] {
-			return score[order[i]] > score[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	if seeds < 1 {
-		seeds = 1
-	}
-	if seeds > n {
-		seeds = n
-	}
+	limit := min(g.NL(), g.NR())
+	mark := make([]bool, n)
 	var best bigraph.Biclique
-	for _, u := range order[:seeds] {
-		if g.Deg(u) == 0 {
+	for _, u := range topScores(score[:n], min(max(seeds, 1), n)) {
+		if best.Size() == limit {
+			break
+		}
+		if g.Deg(u) <= best.Size() {
 			continue
 		}
-		bc := expand(g, u, score)
+		bc := expand(g, u, score, mark, best.Size())
 		if bc.Size() > best.Size() {
 			best = bc
 		}
@@ -51,8 +54,30 @@ func Greedy(g *bigraph.Graph, score []int, seeds int) bigraph.Biclique {
 	return best
 }
 
-// expand grows a balanced biclique around seed u by alternating sides.
-func expand(g *bigraph.Graph, u int, score []int) bigraph.Biclique {
+// topScores returns the k vertices that come first in (score descending,
+// id ascending) order, in that order. Vertices are scanned by ascending
+// id, so a newcomer ties after every buffered vertex of equal score and
+// enters the full buffer only with a strictly higher score than its last
+// entry.
+func topScores(score []int, k int) []int {
+	top := make([]int, 0, k)
+	for v, s := range score {
+		if len(top) == k && s <= score[top[k-1]] {
+			continue
+		}
+		i := sort.Search(len(top), func(i int) bool { return score[top[i]] < s })
+		if len(top) == k {
+			top = top[:k-1]
+		}
+		top = slices.Insert(top, i, v)
+	}
+	return top
+}
+
+// expand grows a balanced biclique around seed u by alternating sides. It
+// returns the empty biclique as soon as the result provably cannot exceed
+// best. mark must be all false; it is restored before expand returns.
+func expand(g *bigraph.Graph, u int, score []int, mark []bool, best int) bigraph.Biclique {
 	// Orient so the seed is on the "A" side; flip back at the end.
 	flip := !g.IsLeft(u)
 
@@ -60,8 +85,11 @@ func expand(g *bigraph.Graph, u int, score []int) bigraph.Biclique {
 	var B []int
 	// CB: candidates adjacent to all of A; CA: candidates adjacent to all
 	// of B (restricted to the 2-hop neighbourhood of u for locality).
+	CA := twoHopSameSide(g, u, mark)
+	if 1+len(CA) <= best {
+		return bigraph.Biclique{}
+	}
 	CB := toInts(g.Neighbors(u))
-	CA := twoHopSameSide(g, u)
 
 	for {
 		if len(A) <= len(B) {
@@ -103,17 +131,22 @@ func expand(g *bigraph.Graph, u int, score []int) bigraph.Biclique {
 	return bc
 }
 
-// twoHopSameSide returns the vertices at distance exactly two from u.
-func twoHopSameSide(g *bigraph.Graph, u int) []int {
-	seen := map[int]bool{u: true}
+// twoHopSameSide returns the vertices at distance exactly two from u in
+// ascending order. mark must be all false; it is restored on return.
+func twoHopSameSide(g *bigraph.Graph, u int, mark []bool) []int {
+	mark[u] = true
 	var out []int
 	for _, w := range g.Neighbors(u) {
 		for _, x := range g.Neighbors(int(w)) {
-			if !seen[int(x)] {
-				seen[int(x)] = true
+			if !mark[x] {
+				mark[x] = true
 				out = append(out, int(x))
 			}
 		}
+	}
+	mark[u] = false
+	for _, x := range out {
+		mark[x] = false
 	}
 	sort.Ints(out)
 	return out
@@ -138,14 +171,10 @@ func pickBest(cand []int, score []int) int {
 	return best
 }
 
+// removeOne deletes v from the sorted slice a, keeping it sorted.
 func removeOne(a []int, v int) []int {
-	for i, x := range a {
-		if x == v {
-			a[i] = a[len(a)-1]
-			a = a[:len(a)-1]
-			sort.Ints(a)
-			return a
-		}
+	if i, ok := slices.BinarySearch(a, v); ok {
+		return slices.Delete(a, i, i+1)
 	}
 	return a
 }
