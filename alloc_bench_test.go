@@ -132,6 +132,24 @@ func BenchmarkAllocPlanSolveK1(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocPlanSolveK2 is BenchmarkAllocPlanSolve with TopK 2: the
+// scalar solve plus the top-k tail's sweeps — peel, components, and the
+// maximal-biclique kernels with their per-call arenas.
+func BenchmarkAllocPlanSolveK2(b *testing.B) {
+	p, err := mbb.PlanContext(context.Background(), benchPlanGraph())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := &mbb.Options{TopK: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.SolveContext(context.Background(), opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllocServeMiddleware pins the serving-path instrumentation —
 // metrics + ring access log + panic recovery — at zero allocations per
 // request, covering the solve submit path the issue gates. (RequestID
@@ -181,12 +199,14 @@ func TestAllocBudgets(t *testing.T) {
 		// The dense steady state and the serving middleware are the
 		// zero-alloc acceptances themselves; their ceiling of 0 is the
 		// point, not headroom.
-		// Observed on the reference setup: build 312, solve 288, repair 11.
+		// Observed on the reference setup: build 312, solve 288, top-2
+		// solve 775, repair 11.
 		{"dense-steady", 0, BenchmarkAllocSolveDenseSteady},
 		{"serve-middleware", 0, BenchmarkAllocServeMiddleware},
 		{"plan-build", 650, BenchmarkAllocPlanBuild},
 		{"plan-solve", 1000, BenchmarkAllocPlanSolve},
 		{"plan-solve-k1", 1000, BenchmarkAllocPlanSolveK1},
+		{"plan-solve-k2", 1500, BenchmarkAllocPlanSolveK2},
 		{"plan-repair", 100, BenchmarkAllocPlanRepair},
 	} {
 		r := testing.Benchmark(tc.bench)

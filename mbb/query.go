@@ -61,56 +61,107 @@ func (q query) refuse(g *Graph, name string) Result {
 // above the query floor. The exact sizes below the maximum are the
 // min-sides of maximal bicliques (trimming a maximal biclique to its
 // min-side is exactly the locally-maximal balanced biclique at that
-// size), so the tail runs a bound-pruned maximal-biclique enumeration:
-// the graph is peeled at the floor (optimum-preserving for every size
-// the query accepts), split into components largest first, and each
-// component is enumerated against the heap's growing bound — once k
-// distinct sizes are held, whole components and subtrees that cannot
-// beat the smallest retained size are skipped. The solver's own witness
-// seeds the heap, so its exact maximum anchors the list.
+// size), so the tail is a bound-pruned maximal-biclique enumeration; the
+// solver's own witness seeds the heap, so its exact maximum anchors the
+// list.
 //
-// The tail shares ex — its budget, cancellation and node accounting. A
+// The enumeration runs in sweeps at descending floors (tailSweep). When
+// the scalar solve is exact with maximum s*, the floors are s*−2, s*−3,
+// s*−5, s*−9, … (the gap doubles each round), never below the query
+// floor, and the tail stops once the heap holds k distinct sizes or after
+// the sweep at the query floor. This is exact: a completed sweep at f
+// offers every maximal biclique with min-side > f (the argument MinSize
+// floors already rely on), and every size the heap retains exceeds f, so
+// a full heap holds the k largest sizes. A high floor peels the graph
+// down to a small dense core, so the common case — the k-th size sits
+// just below s* — never enumerates the sparse remainder. An inexact
+// scalar solve gives no s* to descend from and sweeps once, at the query
+// floor.
+//
+// The tail shares ex — its budget, cancellation and node accounting, so
+// the list's Stats.Nodes reports every node ex spent, tail included. A
 // budget cut mid-tail marks res.Stats.TimedOut: the list is then
-// best-effort like any other inexact answer.
+// best-effort like any other inexact answer. Early high-floor sweeps can
+// spend such a budget proving high sizes absent, so a cut list may hold
+// fewer sizes than a single sweep at the query floor would have found.
 func topKTail(ex *core.Exec, g *Graph, q query, res *core.Result) []Biclique {
 	heap := core.NewTopK(q.k)
 	floor := q.floor()
-	if bc := res.Biclique.Balanced(); bc.Size() > floor {
-		heap.Offer(bc)
+	top := res.Biclique.Balanced()
+	if top.Size() > floor {
+		heap.Offer(top)
 	}
-	if ex.ShouldStop() {
-		res.Stats.TimedOut = true
-		return heap.List()
-	}
-	red := reduction{g: g, newToOld: bigraph.IdentityMap(g.NumVertices())}
-	red = reduceFixedPoint(ex, red, floor)
-	bound := func() int {
-		if b := heap.Bound(); b > floor {
-			return b
-		}
-		return floor
-	}
-	for _, j := range collectJobs(red, floor) {
+	for _, f := range tailFloors(top.Size(), floor, !res.Stats.TimedOut) {
 		if ex.ShouldStop() {
 			break
 		}
+		tailSweep(ex, g, f, heap)
+		// Bound() is positive exactly when the heap holds k sizes.
+		if heap.Bound() > 0 || ex.Stopped() {
+			break
+		}
+	}
+	if ex.Stopped() {
+		res.Stats.TimedOut = true
+	}
+	res.Stats.Nodes = ex.Nodes()
+	return heap.List()
+}
+
+// tailFloors returns the floors topKTail sweeps at, highest first, when
+// none of them fills the heap: top−2, top−3, top−5, top−9, … while above
+// the query floor, then the query floor itself. Without an exact maximum
+// top there is nothing to descend from, and the only floor is the
+// query's.
+func tailFloors(top, floor int, exact bool) []int {
+	var fs []int
+	if exact {
+		for gap := 2; top-gap > floor; gap = 2*gap - 1 {
+			fs = append(fs, top-gap)
+		}
+	}
+	return append(fs, floor)
+}
+
+// tailSweep offers heap every maximal biclique of g whose min-side
+// exceeds f and the heap's bound: g is peeled at f (optimum-preserving
+// for every size above f), split into components largest first, and each
+// component is enumerated against max(heap.Bound(), f), so once the heap
+// holds k sizes, whole components and subtrees that cannot beat its
+// smallest size are skipped. A component of at most denseAutoLimit cells
+// — the planner's dense/sparse bound — runs the word-parallel kernel,
+// a larger one the slice kernel.
+func tailSweep(ex *core.Exec, g *Graph, f int, heap *core.TopK) {
+	red := reduction{g: g, newToOld: bigraph.IdentityMap(g.NumVertices())}
+	red = reduceFixedPoint(ex, red, f)
+	bound := func() int {
+		if b := heap.Bound(); b > f {
+			return b
+		}
+		return f
+	}
+	for _, j := range collectJobs(red, f) {
+		if ex.ShouldStop() {
+			return
+		}
 		// Components too small to beat the current bound cannot add or
 		// improve a retained size. (collectJobs already cut those at or
-		// below the floor.)
+		// below f.)
 		if b := heap.Bound(); b > 0 && (j.nl <= b || j.nr <= b) {
 			continue
 		}
 		sub, toOrig := red.g.Induced(j.ids)
 		bigraph.ComposeMap(toOrig, red.newToOld)
-		baseline.EnumerateMaximalPruned(ex, sub, bound, func(A, B []int) bool {
+		offer := func(A, B []int) bool {
 			heap.Offer(bigraph.Biclique{A: A, B: B}.Remap(toOrig))
 			return true
-		})
+		}
+		if int64(j.nl)*int64(j.nr) <= denseAutoLimit {
+			baseline.EnumerateMaximalWords(ex, sub, bound, offer)
+		} else {
+			baseline.EnumerateMaximalPruned(ex, sub, bound, offer)
+		}
 	}
-	if ex.Stopped() {
-		res.Stats.TimedOut = true
-	}
-	return heap.List()
 }
 
 // finishResult assembles the public Result from a solver outcome under a

@@ -210,3 +210,168 @@ func TestPlanQueryParity(t *testing.T) {
 		}
 	}
 }
+
+// disjointBicliques builds the disjoint union of complete bicliques
+// K(a, b), one per shape, in order.
+func disjointBicliques(shapes ...[2]int) *mbb.Graph {
+	nl, nr := 0, 0
+	for _, s := range shapes {
+		nl += s[0]
+		nr += s[1]
+	}
+	b := mbb.NewBuilder(nl, nr)
+	l0, r0 := 0, 0
+	for _, s := range shapes {
+		for l := 0; l < s[0]; l++ {
+			for r := 0; r < s[1]; r++ {
+				b.AddEdge(l0+l, r0+r)
+			}
+		}
+		l0 += s[0]
+		r0 += s[1]
+	}
+	return b.Build()
+}
+
+// checkTail solves opt on g directly and from a cached plan, and checks
+// both lists against the oracle's sizes and every witness for validity.
+// It returns the sizes.
+func checkTail(t *testing.T, g *mbb.Graph, opt mbb.Options) []int {
+	t.Helper()
+	want := baseline.TopKSizes(nil, g, opt.TopK, opt.MinSize)
+	plan, err := mbb.PlanContext(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, via := range []string{"direct", "plan"} {
+		o := opt
+		var res mbb.Result
+		if via == "direct" {
+			res, err = mbb.Solve(g, &o)
+		} else {
+			res, err = plan.SolveContext(context.Background(), &o)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exact {
+			t.Fatalf("%s %+v: unbudgeted top-k solve is inexact", via, opt)
+		}
+		got = []int{}
+		for _, bc := range res.Bicliques {
+			if !bc.IsBicliqueOf(g) || !bc.IsBalanced() {
+				t.Fatalf("%s %+v: invalid witness %v", via, opt, bc)
+			}
+			got = append(got, bc.Size())
+		}
+		if len(want) > 0 || len(got) > 0 {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %+v: sizes %v, oracle %v", via, opt, got, want)
+			}
+		}
+	}
+	return got
+}
+
+// TestTopKTailFloors covers the descending floors of the top-k tail: a
+// k-th size of s*−1 that the first sweep (at s*−2) finds, a second size
+// only the sweep at the query floor reaches, fewer distinct sizes than
+// k, and a MinSize floor that cuts the descent short.
+func TestTopKTailFloors(t *testing.T) {
+	// K5,5 ∪ K4,4: the second size is s*−1 = 4, inside the first sweep.
+	g := disjointBicliques([2]int{5, 5}, [2]int{4, 4})
+	if fs := mbb.TailFloors(5, 0, true); fs[0] != 3 {
+		t.Fatalf("first floor under s*=5 is %d, want s*-2 = 3", fs[0])
+	}
+	if got := checkTail(t, g, mbb.Options{TopK: 2}); !reflect.DeepEqual(got, []int{5, 4}) {
+		t.Fatalf("K5,5+K4,4 top-2 = %v", got)
+	}
+
+	// K9,9 ∪ K3,5: size 3 lies below every floor but the query's.
+	g = disjointBicliques([2]int{9, 9}, [2]int{3, 5})
+	if fs := mbb.TailFloors(9, 0, true); !reflect.DeepEqual(fs, []int{7, 6, 4, 0}) {
+		t.Fatalf("floors under s*=9 = %v, want [7 6 4 0]", fs)
+	}
+	if got := checkTail(t, g, mbb.Options{TopK: 2}); !reflect.DeepEqual(got, []int{9, 3}) {
+		t.Fatalf("K9,9+K3,5 top-2 = %v", got)
+	}
+	// MinSize 4 (floor 3): the descent stops at the query floor.
+	if fs := mbb.TailFloors(9, 3, true); !reflect.DeepEqual(fs, []int{7, 6, 4, 3}) {
+		t.Fatalf("floors under s*=9, floor 3 = %v, want [7 6 4 3]", fs)
+	}
+	if got := checkTail(t, g, mbb.Options{TopK: 2, MinSize: 4}); !reflect.DeepEqual(got, []int{9}) {
+		t.Fatalf("K9,9+K3,5 top-2 min 4 = %v", got)
+	}
+	// Without an exact maximum there is one sweep, at the query floor.
+	if fs := mbb.TailFloors(9, 3, false); !reflect.DeepEqual(fs, []int{3}) {
+		t.Fatalf("inexact floors = %v, want [3]", fs)
+	}
+
+	// K5,5 has one distinct size: k = 3 sweeps down to the floor and
+	// returns a shorter list.
+	if got := checkTail(t, disjointBicliques([2]int{5, 5}), mbb.Options{TopK: 3}); !reflect.DeepEqual(got, []int{5}) {
+		t.Fatalf("K5,5 top-3 = %v", got)
+	}
+}
+
+// TestTopKTailSliceKernel runs the tail on a component over the planner's
+// dense/sparse cell bound, which the tail enumerates with the slice
+// kernel instead of the word-parallel one: K3,3 beside a double star (a
+// left hub on every right leaf, a right hub on every left leaf, the hubs
+// adjacent) of 4097 vertices a side. The double star survives only the
+// sweep at floor 0, where it supplies the second size, 1.
+func TestTopKTailSliceKernel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8k-vertex oracle enumeration")
+	}
+	const n = 4097
+	if int64(n)*n <= mbb.DenseAutoLimit {
+		t.Fatalf("a %dx%d component no longer exceeds the cell bound %d", n, n, mbb.DenseAutoLimit)
+	}
+	b := mbb.NewBuilder(3+n, 3+n)
+	for l := 0; l < 3; l++ {
+		for r := 0; r < 3; r++ {
+			b.AddEdge(l, r)
+		}
+	}
+	hubL, hubR := 3, 3 // left and right hub indices
+	for i := 0; i < n; i++ {
+		b.AddEdge(hubL, 3+i) // left hub to every right vertex, hub included
+		b.AddEdge(3+i, hubR) // right hub to every left vertex, hub included
+	}
+	g := b.Build()
+	if got := checkTail(t, g, mbb.Options{TopK: 2}); !reflect.DeepEqual(got, []int{3, 1}) {
+		t.Fatalf("K3,3 + double star top-2 = %v", got)
+	}
+}
+
+// TestTopKStatsNodesCountsTail: the tail spends nodes from the solve's
+// Exec, so they count against MaxNodes and must show in Stats.Nodes.
+func TestTopKStatsNodesCountsTail(t *testing.T) {
+	g := disjointBicliques([2]int{9, 9}, [2]int{3, 5})
+	plan, err := mbb.PlanContext(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := plan.SolveContext(context.Background(), &mbb.Options{TopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := plan.SolveContext(context.Background(), &mbb.Options{TopK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.Stats.Nodes <= one.Stats.Nodes {
+		t.Fatalf("top-2 Stats.Nodes %d does not exceed the k=1 count %d", two.Stats.Nodes, one.Stats.Nodes)
+	}
+	// The reported count is what the budget saw: a MaxNodes of exactly
+	// that many nodes still completes the list.
+	capped, err := plan.SolveContext(context.Background(), &mbb.Options{TopK: 2, MaxNodes: two.Stats.Nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !capped.Exact || len(capped.Bicliques) != len(two.Bicliques) {
+		t.Fatalf("MaxNodes = reported nodes %d cut the list: %+v", two.Stats.Nodes, capped)
+	}
+}
