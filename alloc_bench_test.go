@@ -8,11 +8,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
+	"repro/internal/bigraph"
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/server"
@@ -31,6 +34,12 @@ func benchDenseSteady() (*core.Exec, *dense.Matrix) {
 }
 
 func BenchmarkAllocSolveDenseSteady(b *testing.B) {
+	// One solve takes about a second, so b.N is 1 and the count is
+	// process-wide: an OS thread the runtime starts meanwhile for the
+	// idle second P (6 mallocs in allocm) read as 6 allocs/op. The solve
+	// is sequential; on one P the runtime has no idle P to start a
+	// thread for, and the solver's own allocations still all count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ex, m := benchDenseSteady()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,6 +180,24 @@ func BenchmarkAllocServeMiddleware(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocUploadParse parses the text upload body of the cached
+// plan workload's graph, as the graph PUT handler does at the daemon's
+// default vertex cap: the per-call buffers and the graph, nothing per
+// line.
+func BenchmarkAllocUploadParse(b *testing.B) {
+	var body bytes.Buffer
+	if err := mbb.WriteGraph(&body, benchPlanGraph()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bigraph.ReadLimited(bytes.NewReader(body.Bytes()), 10_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAllocPlanRepair(b *testing.B) {
 	p, g2, eff := benchRepairSetup(b)
 	b.ReportAllocs()
@@ -200,7 +227,7 @@ func TestAllocBudgets(t *testing.T) {
 		// zero-alloc acceptances themselves; their ceiling of 0 is the
 		// point, not headroom.
 		// Observed on the reference setup: build 312, solve 288, top-2
-		// solve 775, repair 11.
+		// solve 775, repair 11, upload parse 10.
 		{"dense-steady", 0, BenchmarkAllocSolveDenseSteady},
 		{"serve-middleware", 0, BenchmarkAllocServeMiddleware},
 		{"plan-build", 650, BenchmarkAllocPlanBuild},
@@ -208,6 +235,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"plan-solve-k1", 1000, BenchmarkAllocPlanSolveK1},
 		{"plan-solve-k2", 1500, BenchmarkAllocPlanSolveK2},
 		{"plan-repair", 100, BenchmarkAllocPlanRepair},
+		{"upload-parse", 20, BenchmarkAllocUploadParse},
 	} {
 		r := testing.Benchmark(tc.bench)
 		if got := r.AllocsPerOp(); got > tc.ceiling {

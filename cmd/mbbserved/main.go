@@ -104,7 +104,7 @@ func run() int {
 	retainEpochs := flag.Int("retain-epochs", 8, "per-graph trailing snapshot epochs kept solvable via ?epoch=E")
 	warmRecovery := flag.Bool("warm-recovery", true, "build plans eagerly during WAL replay so recovery lands warm")
 	maxUpload := flag.Int64("maxupload", 64<<20, "max graph upload size in bytes")
-	maxVerts := flag.Int("maxverts", 10_000_000, "max vertices per uploaded graph (-1 = unlimited)")
+	maxVerts := flag.Int("maxverts", 10_000_000, "max vertices per uploaded graph (-1 = only the int32 id range)")
 	defTimeout := flag.Duration("default-timeout", 30*time.Second, "per-job timeout when the request sets none (-1ns = none)")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "hard cap on any per-job timeout (-1ns = no cap)")
 	maxJobWorkers := flag.Int("max-job-workers", 0, "clamp on a job's requested goroutine budget (0 = 4xGOMAXPROCS, -1 = no cap)")

@@ -9,6 +9,8 @@ package bigraph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -92,9 +94,12 @@ func (g *Graph) MaxDegree() int {
 // Duplicate edges are tolerated and removed at Build time.
 type Builder struct {
 	nl, nr int
-	deg    []int32
-	edges  [][2]int32 // (left unified id, right unified id)
+	keys   []uint64 // one packed edgeKey per AddEdge
 }
+
+// edgeKey packs side-local indices (l, r) into one sort key: keys order
+// by l, then r, which is the CSR order of the left adjacency lists.
+func edgeKey(l, r int) uint64 { return uint64(l)<<32 | uint64(r) }
 
 // NewBuilder returns a builder for a graph with nl left and nr right
 // vertices.
@@ -102,7 +107,10 @@ func NewBuilder(nl, nr int) *Builder {
 	if nl < 0 || nr < 0 {
 		panic("bigraph: negative side size")
 	}
-	return &Builder{nl: nl, nr: nr, deg: make([]int32, nl+nr)}
+	if nl > math.MaxInt32-nr {
+		panic(fmt.Sprintf("bigraph: %dx%d vertices overflow int32 ids", nl, nr))
+	}
+	return &Builder{nl: nl, nr: nr}
 }
 
 // AddEdge records an edge between side-local left index l and side-local
@@ -111,52 +119,54 @@ func (b *Builder) AddEdge(l, r int) {
 	if l < 0 || l >= b.nl || r < 0 || r >= b.nr {
 		panic(fmt.Sprintf("bigraph: edge (%d,%d) out of range %dx%d", l, r, b.nl, b.nr))
 	}
-	b.edges = append(b.edges, [2]int32{int32(l), int32(b.nl + r)})
+	b.keys = append(b.keys, edgeKey(l, r))
 }
 
 // NumEdgesAdded reports how many edges (including duplicates) were added.
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
+func (b *Builder) NumEdgesAdded() int { return len(b.keys) }
 
 // Build finalises the graph: edges are deduplicated and adjacency lists
 // sorted. The builder can be reused afterwards only by adding more edges.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	// Deduplicate in place.
-	uniq := b.edges[:0]
-	for i, e := range b.edges {
-		if i == 0 || e != b.edges[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	b.edges = uniq
-	n := b.nl + b.nr
-	deg := make([]int32, n)
-	for _, e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
+	b.keys = sortedKeys(b.keys)
+	return buildCSR(b.nl, b.nr, b.keys)
+}
+
+// sortedKeys sorts and deduplicates keys in place. The sort is linear on
+// input that is already sorted, such as the bodies Write produces.
+func sortedKeys(keys []uint64) []uint64 {
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// buildCSR lays out the graph of the sorted, duplicate-free edge keys,
+// whose indices lie inside nl x nr.
+func buildCSR(nl, nr int, keys []uint64) *Graph {
+	n, m := nl+nr, len(keys)
 	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
+	for _, k := range keys {
+		off[k>>32+1]++
+		off[nl+int(uint32(k))+1]++
 	}
-	adj := make([]int32, 2*len(b.edges))
-	cur := make([]int32, n)
-	copy(cur, off[:n])
-	for _, e := range b.edges {
-		l, r := e[0], e[1]
-		adj[cur[l]] = r
-		cur[l]++
-		adj[cur[r]] = l
-		cur[r]++
+	var sum int32
+	for v, d := range off {
+		sum += d
+		off[v] = sum
 	}
-	// Left lists are produced in sorted order by the edge sort; right lists
-	// are sorted because left ids appear in ascending order during the fill.
-	return &Graph{nl: b.nl, nr: b.nr, off: off, adj: adj, m: len(b.edges)}
+	adj := make([]int32, 2*m)
+	// The keys are in left-list order, so the left lists are their right
+	// halves in sequence. Each right list fills in ascending left order,
+	// using off[v] as v's cursor; afterwards off[v] holds v's end, which
+	// is off[v+1]'s value, so one shift restores the right offsets.
+	for i, k := range keys {
+		l, r := int32(k>>32), nl+int(uint32(k))
+		adj[i] = int32(r)
+		adj[off[r]] = l
+		off[r]++
+	}
+	copy(off[nl+1:], off[nl:n])
+	off[nl] = int32(m)
+	return &Graph{nl: nl, nr: nr, off: off, adj: adj, m: m}
 }
 
 // FromEdges builds a graph from side-local (l, r) pairs.

@@ -1,17 +1,12 @@
 package bigraph
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzReadKONECT is the malformed-input fuzz harness for the KONECT
-// parser, the format the mbbserved upload endpoint exposes to untrusted
-// clients. Invariants: ReadKONECT never panics; when it accepts an input,
-// the parse → WriteKONECT → reparse round trip reproduces the graph
-// exactly (sizes and edge set). CI runs it as a bounded smoke step next
-// to FuzzSolversAgree.
 // FuzzGraphApply is the differential fuzz harness for the copy-on-write
 // mutation path behind the mbbserved edge endpoints: a byte-encoded
 // graph plus delta is applied via Graph.Apply and via a from-scratch
@@ -59,6 +54,13 @@ func FuzzGraphApply(f *testing.F) {
 	})
 }
 
+// FuzzReadKONECT is the malformed-input fuzz harness for the KONECT
+// parser, the format the mbbserved upload endpoint exposes to untrusted
+// clients. Invariants: ReadKONECT never panics and matches the reference
+// reader (graph or error text); when it accepts an input, the parse →
+// WriteKONECT → reparse round trip reproduces the graph exactly (sizes
+// and edge set). CI runs it as a bounded smoke step next to
+// FuzzSolversAgree.
 func FuzzReadKONECT(f *testing.F) {
 	seeds := []string{
 		// Well-formed, with and without the size hint.
@@ -92,10 +94,12 @@ func FuzzReadKONECT(f *testing.F) {
 		// Fuzz through the limited reader — the service's path — with a
 		// small cap: an unlimited parse would let a mutated size hint
 		// ("% 1 9e8 9e8") demand gigabytes and OOM the fuzz run.
-		const maxVerts = 1 << 16
+		const maxVerts = refCap
 		g, err := ReadKONECTLimited(strings.NewReader(data), maxVerts)
+		wg, werr, panicked := callRef(refReadKONECTLimited, strings.NewReader(data), maxVerts)
+		sameOutcome(t, fmt.Sprintf("input %q", data), g, err, wg, werr, panicked)
 		if err != nil {
-			return // rejected input: the only requirement is no panic
+			return
 		}
 		var buf strings.Builder
 		if err := WriteKONECT(&buf, g); err != nil {

@@ -2,6 +2,7 @@ package bigraph
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -101,6 +102,34 @@ func TestReadLimitedVertexCap(t *testing.T) {
 	}
 	if g, err := ReadKONECTLimited(strings.NewReader("% 1 3 4\n1 1\n"), 1000); err != nil || g.NL() != 3 || g.NR() != 4 {
 		t.Errorf("ReadKONECTLimited rejected an in-cap graph: %v", err)
+	}
+	// Side sizes whose sum overflows int must fail the cap check, not
+	// pass it and panic in makeslice. Uncapped, the readers still refuse
+	// more vertices than CSR's int32 ids address.
+	for _, tc := range []struct {
+		read   func(io.Reader, int) (*Graph, error)
+		in     string
+		capped bool // over the 10M cap but inside the int32 range
+	}{
+		{ReadLimited, "9223372036854775807 1\n0 0\n", false},
+		{ReadLimited, "9223372036854775807 9223372036854775807\n", false},
+		{ReadLimited, "2147483647 1\n", false},
+		{ReadLimited, "6000000 6000000\n", true},
+		{ReadKONECTLimited, "% 1 9223372036854775807 1\n1 1\n", false},
+		{ReadKONECTLimited, "9223372036854775807 1\n", false},
+		{ReadKONECTLimited, "9223372036854775807 9223372036854775807 1.0\n", false},
+		{ReadKONECTLimited, "% 1 2147483647 1\n", false},
+		{ReadKONECTLimited, "2147483648 1\n", false},
+	} {
+		for _, maxVertices := range []int{10_000_000, 0} {
+			if tc.capped && maxVertices == 0 {
+				continue
+			}
+			want := fmt.Sprintf("exceeds the %d-vertex limit", vertexLimit(maxVertices))
+			if _, err := tc.read(strings.NewReader(tc.in), maxVertices); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("cap %d, input %q: error %v, want one containing %q", maxVertices, tc.in, err, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bigraph"
 	"repro/internal/core"
 	"repro/mbb"
 )
@@ -89,6 +91,36 @@ func TestSolveBodyTooLarge(t *testing.T) {
 	resp, _ := do(t, http.MethodPost, ts.URL+"/graphs/k33/solve", strings.NewReader(`{"timeout":`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestUploadBodyTooLarge is the upload counterpart: a graph body over
+// MaxUploadBytes gets 413 in both formats, wherever the cap cuts it,
+// including inside a line that would not parse on its own. The reader
+// must pass the *http.MaxBytesError through rather than parse the
+// cut-off piece.
+func TestUploadBodyTooLarge(t *testing.T) {
+	const limit = 1 << 10
+	_, ts := newTestServer(t, Options{Workers: 1, MaxUploadBytes: limit})
+	g := mbb.GeneratePowerLaw(60, 60, 400, 3)
+	for _, format := range []string{"edgelist", "konect"} {
+		var body bytes.Buffer
+		write := mbb.WriteGraph
+		if format == "konect" {
+			write = bigraph.WriteKONECT
+		}
+		if err := write(&body, g); err != nil {
+			t.Fatal(err)
+		}
+		// Padding comments move the cut through every byte of a line.
+		for pad := 0; pad < 12; pad++ {
+			in := "%" + strings.Repeat(" ", pad) + "\n" + body.String()
+			resp, data := do(t, http.MethodPut, ts.URL+"/graphs/big?format="+format, strings.NewReader(in))
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("PUT %s, %d-byte body cut at %d: status %d (%s), want 413",
+					format, len(in), limit, resp.StatusCode, data)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -250,9 +251,12 @@ type Scheduler struct {
 	maxTimeout time.Duration
 	maxWorkers int
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for listing and pruning
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// order[head:] holds the retained jobs in submission order, for
+	// listing and pruning; order[:head] is spent.
+	order  []*Job
+	head   int
 	closed bool
 
 	nextID   atomic.Int64
@@ -422,7 +426,7 @@ func (s *Scheduler) SubmitSnapshot(sg *StoredGraph, snap *Snapshot, req SolveReq
 		return nil, ErrQueueFull
 	}
 	s.jobs[job.id] = job
-	s.order = append(s.order, job.id)
+	s.order = append(s.order, job)
 	s.ctrSubmitted.Add(1)
 	s.live.Add(1)
 	s.pruneLocked()
@@ -438,28 +442,39 @@ func releaseSnap(job *Job) {
 	}
 }
 
-// pruneLocked drops the oldest finished jobs beyond retainFinished.
+// pruneLocked drops the oldest finished jobs beyond retainFinished. It
+// walks the retained jobs from the oldest and stops once enough are
+// gone, so a submission costs O(1) amortized, plus a step over each
+// queued or running job the walk passes: those slide up to where it
+// stopped, and the next walk starts at them.
 func (s *Scheduler) pruneLocked() {
-	if len(s.jobs) <= retainFinished {
-		return
-	}
-	kept := s.order[:0]
 	excess := len(s.jobs) - retainFinished
-	for _, id := range s.order {
-		job := s.jobs[id]
-		if excess > 0 && job != nil {
-			job.mu.Lock()
-			terminal := job.state.Terminal()
-			job.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				excess--
-				continue
-			}
+	i := s.head
+	for ; excess > 0 && i < len(s.order); i++ {
+		job := s.order[i]
+		job.mu.Lock()
+		terminal := job.state.Terminal()
+		job.mu.Unlock()
+		if terminal {
+			delete(s.jobs, job.id)
+			s.order[i] = nil
+			excess--
 		}
-		kept = append(kept, id)
 	}
-	s.order = kept
+	w := i
+	for j := i - 1; j >= s.head; j-- {
+		if job := s.order[j]; job != nil {
+			w--
+			s.order[j] = nil
+			s.order[w] = job
+		}
+	}
+	s.head = w
+	if s.head > len(s.order)/2 {
+		n := copy(s.order, s.order[s.head:])
+		clear(s.order[n:])
+		s.order, s.head = s.order[:n], 0
+	}
 }
 
 // run executes one dequeued job.
@@ -588,12 +603,7 @@ func (s *Scheduler) Cancel(id string) bool {
 // List returns every retained job's info in submission order.
 func (s *Scheduler) List() []JobInfo {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, id := range s.order {
-		if job, ok := s.jobs[id]; ok {
-			jobs = append(jobs, job)
-		}
-	}
+	jobs := slices.Clone(s.order[s.head:])
 	s.mu.Unlock()
 	out := make([]JobInfo, len(jobs))
 	for i, job := range jobs {

@@ -24,7 +24,7 @@ type Options struct {
 	MaxUploadBytes int64
 	// MaxVertices caps the vertex count of any uploaded graph (parsing
 	// rejects larger inputs before allocating). Default 10M; negative
-	// means unlimited.
+	// means no cap below the int32 range of vertex ids.
 	MaxVertices int
 	// MaxGraphs caps the store size. Default 1024; negative means
 	// unlimited.

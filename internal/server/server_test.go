@@ -124,6 +124,10 @@ func TestUploadErrors(t *testing.T) {
 		{"huge", "1000000 1000000 1\n0 0\n", "", http.StatusBadRequest},
 		{"hugehint", "% 1 500000 500000\n1 1\n", "konect", http.StatusBadRequest},
 		{"outofhint", "% 3 2 2\n5 1\n", "konect", http.StatusBadRequest},
+		// Side sizes whose sum overflows int: a 400, not a panic and a 500.
+		{"wrap", "9223372036854775807 1\n0 0\n", "", http.StatusBadRequest},
+		{"wraphint", "% 1 9223372036854775807 1\n1 1\n", "konect", http.StatusBadRequest},
+		{"wrapids", "9223372036854775807 1\n", "konect", http.StatusBadRequest},
 		{"bad name!", k33, "", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
