@@ -214,6 +214,12 @@ func BenchmarkAllocPlanRepair(b *testing.B) {
 // observed steady state) so scheduler noise does not flake the gate,
 // but tight enough that an accidental per-node or per-vertex allocation
 // — which multiplies counts by orders of magnitude — always trips it.
+// The plan build and the top-2 plan solve also have a bytes/op ceiling,
+// by the same rule: their allocation counts do not grow with the graph,
+// but a table as long as the graph allocated per build or per sweep
+// multiplies their bytes. The bytes ceilings are checked without the
+// race detector only (see raceEnabled); CI's allocation step runs
+// without it.
 func TestAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate is not meaningful with -short's trimmed iteration counts")
@@ -221,27 +227,32 @@ func TestAllocBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		ceiling int64
+		bytes   int64 // bytes/op ceiling without -race; 0 pins none
 		bench   func(b *testing.B)
 	}{
 		// The dense steady state and the serving middleware are the
 		// zero-alloc acceptances themselves; their ceiling of 0 is the
 		// point, not headroom.
-		// Observed on the reference setup: build 312, solve 288, top-2
-		// solve 775, repair 11, upload parse 10.
-		{"dense-steady", 0, BenchmarkAllocSolveDenseSteady},
-		{"serve-middleware", 0, BenchmarkAllocServeMiddleware},
-		{"plan-build", 650, BenchmarkAllocPlanBuild},
-		{"plan-solve", 1000, BenchmarkAllocPlanSolve},
-		{"plan-solve-k1", 1000, BenchmarkAllocPlanSolveK1},
-		{"plan-solve-k2", 1500, BenchmarkAllocPlanSolveK2},
-		{"plan-repair", 100, BenchmarkAllocPlanRepair},
-		{"upload-parse", 20, BenchmarkAllocUploadParse},
+		// Observed on the reference setup: build 292 (55 KB), solve 271,
+		// top-2 solve 596 (133 KB), repair 11, upload parse 10.
+		{"dense-steady", 0, 0, BenchmarkAllocSolveDenseSteady},
+		{"serve-middleware", 0, 0, BenchmarkAllocServeMiddleware},
+		{"plan-build", 650, 110_000, BenchmarkAllocPlanBuild},
+		{"plan-solve", 1000, 0, BenchmarkAllocPlanSolve},
+		{"plan-solve-k1", 1000, 0, BenchmarkAllocPlanSolveK1},
+		{"plan-solve-k2", 1500, 270_000, BenchmarkAllocPlanSolveK2},
+		{"plan-repair", 100, 0, BenchmarkAllocPlanRepair},
+		{"upload-parse", 20, 0, BenchmarkAllocUploadParse},
 	} {
 		r := testing.Benchmark(tc.bench)
-		if got := r.AllocsPerOp(); got > tc.ceiling {
+		got, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+		switch {
+		case got > tc.ceiling:
 			t.Errorf("%s: %d allocs/op exceeds the pinned ceiling %d", tc.name, got, tc.ceiling)
-		} else {
-			t.Logf("%s: %d allocs/op (ceiling %d), %d bytes/op", tc.name, got, tc.ceiling, r.AllocedBytesPerOp())
+		case tc.bytes > 0 && !raceEnabled && bytes > tc.bytes:
+			t.Errorf("%s: %d bytes/op exceeds the pinned ceiling %d", tc.name, bytes, tc.bytes)
+		default:
+			t.Logf("%s: %d allocs/op (ceiling %d), %d bytes/op", tc.name, got, tc.ceiling, bytes)
 		}
 	}
 }

@@ -28,8 +28,8 @@ func (d Delta) Empty() bool { return len(d.Add) == 0 && len(d.Del) == 0 }
 // appears in neither. When nothing effectively changes, g itself is
 // returned.
 //
-// The rebuild bypasses the Builder's global edge sort: untouched
-// adjacency spans are copied wholesale and only the touched vertices
+// The rebuild bypasses the Builder's global edge sort: each run of
+// untouched vertices is copied wholesale and only the touched vertices
 // merge their overlay, so a batch of b edges costs O(n + m + b log b)
 // flat-copy work instead of the builder's O((m+b) log(m+b)).
 func (g *Graph) Apply(d Delta) (*Graph, Delta, error) {
@@ -70,70 +70,78 @@ func (g *Graph) Apply(d Delta) (*Graph, Delta, error) {
 		return g, eff, nil
 	}
 
-	// Per-vertex overlays in unified ids, recorded in both directions.
-	type patch struct{ add, del []int32 }
-	patches := make(map[int32]*patch, 2*(len(eff.Add)+len(eff.Del)))
-	at := func(v int32) *patch {
-		p := patches[v]
-		if p == nil {
-			p = &patch{}
-			patches[v] = p
+	return g.patched(eff), eff, nil
+}
+
+// patched lays out g with the effective delta eff applied. Each edge of
+// eff patches both of its ends; the patches are sorted once by vertex,
+// then neighbour. Every run of untouched vertices between two patched
+// ones is one copy of its adjacency span, its offsets shifted by the
+// edge-count change so far, and only a patched vertex merges its old list
+// with its additions and deletions.
+func (g *Graph) patched(eff Delta) *Graph {
+	ends := func(edges [][2]int) []uint64 {
+		keys := make([]uint64, 0, 2*len(edges))
+		for _, e := range edges {
+			u, v := uint64(e[0]), uint64(g.nl+e[1])
+			keys = append(keys, u<<32|v, v<<32|u)
 		}
-		return p
+		slices.Sort(keys)
+		return keys
 	}
-	for _, e := range eff.Add {
-		u, v := int32(e[0]), int32(g.nl+e[1])
-		at(u).add = append(at(u).add, v)
-		at(v).add = append(at(v).add, u)
-	}
-	for _, e := range eff.Del {
-		u, v := int32(e[0]), int32(g.nl+e[1])
-		at(u).del = append(at(u).del, v)
-		at(v).del = append(at(v).del, u)
-	}
+	add, del := ends(eff.Add), ends(eff.Del)
 
 	n := g.nl + g.nr
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		deg := int32(g.Deg(v))
-		if p := patches[int32(v)]; p != nil {
-			deg += int32(len(p.add) - len(p.del))
-		}
-		off[v+1] = off[v] + deg
-	}
 	m2 := g.m + len(eff.Add) - len(eff.Del)
+	off := make([]int32, n+1)
 	adj := make([]int32, 2*m2)
-	for v := 0; v < n; v++ {
-		old := g.Neighbors(v)
-		p := patches[int32(v)]
-		if p == nil {
-			copy(adj[off[v]:off[v+1]], old)
-			continue
+	var shift int32 // off[v] − g.off[v] for the next vertex laid out
+	// untouched lays out the vertices from up to (not including) to.
+	untouched := func(from, to int) {
+		copy(adj[g.off[from]+shift:], g.adj[g.off[from]:g.off[to]])
+		for v := from; v < to; v++ {
+			off[v] = g.off[v] + shift
 		}
-		slices.Sort(p.add)
-		slices.Sort(p.del)
-		// Merge: old list minus the deletions, interleaved with the sorted
-		// additions. Effective adds are absent from old and effective dels
-		// are present exactly once, so the result stays sorted and unique.
-		w, ai, di := off[v], 0, 0
-		for _, x := range old {
-			for ai < len(p.add) && p.add[ai] < x {
-				adj[w] = p.add[ai]
+	}
+	next := 0
+	for len(add) > 0 || len(del) > 0 {
+		t := uint64(n)
+		if len(add) > 0 {
+			t = add[0] >> 32
+		}
+		if len(del) > 0 {
+			t = min(t, del[0]>>32)
+		}
+		v := int(t)
+		untouched(next, v)
+		off[v] = g.off[v] + shift
+		// Merge: the old list minus the deletions, interleaved with the
+		// additions. Effective adds are absent from the old list and
+		// effective dels present exactly once, so the result stays sorted
+		// and unique.
+		w := off[v]
+		for _, x := range g.Neighbors(v) {
+			for len(add) > 0 && add[0]>>32 == t && int32(add[0]) < x {
+				adj[w] = int32(add[0])
 				w++
-				ai++
+				add = add[1:]
 			}
-			if di < len(p.del) && p.del[di] == x {
-				di++
+			if len(del) > 0 && del[0] == t<<32|uint64(x) {
+				del = del[1:]
 				continue
 			}
 			adj[w] = x
 			w++
 		}
-		for ai < len(p.add) {
-			adj[w] = p.add[ai]
+		for len(add) > 0 && add[0]>>32 == t {
+			adj[w] = int32(add[0])
 			w++
-			ai++
+			add = add[1:]
 		}
+		shift = w - g.off[v+1]
+		next = v + 1
 	}
-	return &Graph{nl: g.nl, nr: g.nr, off: off, adj: adj, m: m2}, eff, nil
+	untouched(next, n)
+	off[n] = int32(2 * m2)
+	return &Graph{nl: g.nl, nr: g.nr, off: off, adj: adj, m: m2}
 }

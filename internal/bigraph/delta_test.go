@@ -1,8 +1,10 @@
 package bigraph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -131,6 +133,145 @@ func applyByRebuild(g *Graph, d Delta) *Graph {
 	return b.Build()
 }
 
+// refPatched is the layout loop Graph.Apply ran before it copied
+// untouched runs wholesale: a map of per-vertex overlays, looked up for
+// every vertex twice, and a copy per vertex. Given Apply's effective
+// delta it must give the same CSR arrays as Graph.patched; it is the test
+// oracle only.
+func refPatched(g *Graph, eff Delta) *Graph {
+	type patch struct{ add, del []int32 }
+	patches := make(map[int32]*patch, 2*(len(eff.Add)+len(eff.Del)))
+	at := func(v int32) *patch {
+		p := patches[v]
+		if p == nil {
+			p = &patch{}
+			patches[v] = p
+		}
+		return p
+	}
+	for _, e := range eff.Add {
+		u, v := int32(e[0]), int32(g.nl+e[1])
+		at(u).add = append(at(u).add, v)
+		at(v).add = append(at(v).add, u)
+	}
+	for _, e := range eff.Del {
+		u, v := int32(e[0]), int32(g.nl+e[1])
+		at(u).del = append(at(u).del, v)
+		at(v).del = append(at(v).del, u)
+	}
+
+	n := g.nl + g.nr
+	off := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		deg := int32(g.Deg(v))
+		if p := patches[int32(v)]; p != nil {
+			deg += int32(len(p.add) - len(p.del))
+		}
+		off[v+1] = off[v] + deg
+	}
+	m2 := g.m + len(eff.Add) - len(eff.Del)
+	adj := make([]int32, 2*m2)
+	for v := 0; v < n; v++ {
+		old := g.Neighbors(v)
+		p := patches[int32(v)]
+		if p == nil {
+			copy(adj[off[v]:off[v+1]], old)
+			continue
+		}
+		slices.Sort(p.add)
+		slices.Sort(p.del)
+		w, ai, di := off[v], 0, 0
+		for _, x := range old {
+			for ai < len(p.add) && p.add[ai] < x {
+				adj[w] = p.add[ai]
+				w++
+				ai++
+			}
+			if di < len(p.del) && p.del[di] == x {
+				di++
+				continue
+			}
+			adj[w] = x
+			w++
+		}
+		for ai < len(p.add) {
+			adj[w] = p.add[ai]
+			w++
+			ai++
+		}
+	}
+	return &Graph{nl: g.nl, nr: g.nr, off: off, adj: adj, m: m2}
+}
+
+// sameAsPatchedReference fails t unless Apply's result has exactly the
+// CSR arrays the per-vertex reference loop lays out.
+func sameAsPatchedReference(t *testing.T, name string, g, got *Graph, eff Delta) {
+	t.Helper()
+	if eff.Empty() {
+		if got != g {
+			t.Fatalf("%s: an empty effective delta did not return g", name)
+		}
+		return
+	}
+	if want := refPatched(g, eff); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Apply laid out off %v adj %v, the reference off %v adj %v", name, got.off, got.adj, want.off, want.adj)
+	}
+}
+
+// skewedGraph draws m edges whose endpoints favour low ids on both
+// sides, so degrees run from hubs down to isolated vertices, as in the
+// sparse stand-ins.
+func skewedGraph(rng *rand.Rand, nl, nr, m int) *Graph {
+	b := NewBuilder(nl, nr)
+	for i := 0; i < m; i++ {
+		u, v := rng.Float64(), rng.Float64()
+		b.AddEdge(int(float64(nl)*u*u*u), int(float64(nr)*v*v))
+	}
+	return b.Build()
+}
+
+// TestApplyMatchesPatchedReference pins Apply's run-copying layout to
+// the per-vertex reference loop on skewed graphs, with batches that
+// touch the first and last vertex, empty a hub's list, fill isolated
+// vertices, and touch one vertex many times.
+func TestApplyMatchesPatchedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range [][3]int{{300, 100, 900}, {100, 300, 900}, {3000, 2000, 12000}} {
+		for rep := 0; rep < 3; rep++ {
+			g := skewedGraph(rng, shape[0], shape[1], shape[2])
+			name := fmt.Sprintf("%dx%d/%d #%d", g.NL(), g.NR(), g.NumEdges(), rep)
+			nl, nr := g.NL(), g.NR()
+			batches := []Delta{
+				{Add: [][2]int{{0, 0}, {nl - 1, nr - 1}}, Del: g.Edges()[:1]},
+				{Del: g.Edges()[len(g.Edges())-3:]},
+				{Add: [][2]int{{nl - 1, 0}, {nl - 1, 1}, {nl - 1, 2}, {0, nr - 1}}},
+			}
+			// Every edge of the highest-degree left vertex goes.
+			hub := 0
+			for l := 0; l < nl; l++ {
+				if g.Deg(l) > g.Deg(hub) {
+					hub = l
+				}
+			}
+			var all [][2]int
+			for _, r := range g.Neighbors(hub) {
+				all = append(all, [2]int{hub, int(r) - nl})
+			}
+			batches = append(batches, Delta{Del: all})
+			for i := 0; i < 20; i++ {
+				batches = append(batches, randomDelta(rng, g, 1+rng.Intn(40)))
+			}
+			for i, d := range batches {
+				got, eff, err := g.Apply(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAsPatchedReference(t, fmt.Sprintf("%s batch %d", name, i), g, got, eff)
+			}
+		}
+	}
+}
+
 // TestApplyMatchesRebuild is the differential test of the copy-on-write
 // path: across random graphs and random deltas, Apply must produce
 // exactly the graph a from-scratch rebuild produces.
@@ -161,6 +302,7 @@ func TestApplyMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d: effective counts inconsistent: m %d -%d +%d != %d",
 				trial, g.NumEdges(), len(eff.Del), len(eff.Add), got.NumEdges())
 		}
+		sameAsPatchedReference(t, fmt.Sprintf("trial %d", trial), g, got, eff)
 		// Adjacency invariants the solvers rely on: sorted, duplicate-free
 		// lists on both sides.
 		for v := 0; v < got.NumVertices(); v++ {

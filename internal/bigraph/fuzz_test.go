@@ -11,7 +11,8 @@ import (
 // mutation path behind the mbbserved edge endpoints: a byte-encoded
 // graph plus delta is applied via Graph.Apply and via a from-scratch
 // Builder rebuild, and the two must agree exactly (shape, edge set,
-// sorted adjacency). Bytes decode in pairs as (l, r) indices mod the
+// sorted adjacency); Apply's CSR arrays must also equal those of the
+// per-vertex reference loop (refPatched). Bytes decode in pairs as (l, r) indices mod the
 // side sizes; base/add/del streams are split by length prefixes, so any
 // mutated input is a valid case. The nightly workflow runs it for
 // minutes; CI runs a bounded smoke.
@@ -51,6 +52,7 @@ func FuzzGraphApply(f *testing.F) {
 			t.Fatalf("effective counts inconsistent: m %d -%d +%d != %d",
 				g.NumEdges(), len(eff.Del), len(eff.Add), got.NumEdges())
 		}
+		sameAsPatchedReference(t, "fuzz", g, got, eff)
 	})
 }
 

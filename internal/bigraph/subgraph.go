@@ -1,6 +1,14 @@
 package bigraph
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
+
+// inducers recycles the translation tables of Induced and InducedByMask:
+// an Inducer's old→new id tables are as long as the host graph, and with
+// a pooled one a call costs what it keeps, not what it drops.
+var inducers = sync.Pool{New: func() any { return NewInducer() }}
 
 // Induced materialises the subgraph induced by the given unified vertex
 // ids. The result keeps the bipartite split; left vertices of the subgraph
@@ -10,13 +18,17 @@ import "sort"
 // The second return value maps new unified ids back to original unified
 // ids (newToOld[newID] = oldID).
 func (g *Graph) Induced(keep []int) (*Graph, []int) {
-	return NewInducer().Induce(g, keep)
+	ind := inducers.Get().(*Inducer)
+	defer inducers.Put(ind)
+	return ind.Induce(g, keep)
 }
 
 // InducedByMask is Induced with membership given as a boolean mask indexed
 // by unified id. Vertices with mask[v] == true are kept.
 func (g *Graph) InducedByMask(mask []bool) (*Graph, []int) {
-	return NewInducer().InduceByMask(g, mask)
+	ind := inducers.Get().(*Inducer)
+	defer inducers.Put(ind)
+	return ind.InduceByMask(g, mask)
 }
 
 func sortInts(a []int) {

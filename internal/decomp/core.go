@@ -5,7 +5,12 @@
 // orders compared in the evaluation (degree, degeneracy, bidegeneracy).
 package decomp
 
-import "repro/internal/bigraph"
+import (
+	"math/bits"
+	"slices"
+
+	"repro/internal/bigraph"
+)
 
 // CoreResult carries the output of a core decomposition.
 type CoreResult struct {
@@ -87,9 +92,8 @@ func Cores(g *bigraph.Graph) *CoreResult {
 }
 
 // KCoreMask returns a boolean mask (indexed by unified id) of the vertices
-// belonging to the k-core of g, computed by iterative peeling. The mask is
-// freshly allocated; the peeling state comes from the package workspace
-// pool.
+// belonging to the k-core of g. The mask is freshly allocated; the
+// peeling state comes from the package workspace pool.
 func KCoreMask(g *bigraph.Graph, k int) []bool {
 	return KCoreMaskInto(g, k, nil)
 }
@@ -99,40 +103,140 @@ func KCoreMask(g *bigraph.Graph, k int) []bool {
 // same graph repeatedly — the sparse verification step runs one peel per
 // surviving subgraph — reuse one mask buffer across calls.
 func KCoreMaskInto(g *bigraph.Graph, k int, dst []bool) []bool {
-	ws := getWS()
-	defer putWS(ws)
 	n := g.NumVertices()
 	if cap(dst) < n {
 		dst = make([]bool, n)
 	}
-	alive := dst[:n]
-	deg := grownInts(ws.deg, n)
-	queue := ws.queue[:0]
-	defer func() { ws.deg, ws.queue = deg, queue[:0] }()
+	mask := dst[:n]
+	clear(mask)
+	ws := getWS()
+	defer putWS(ws)
+	for _, v := range ws.kcore(g, k) {
+		mask[v] = true
+	}
+	return mask
+}
+
+// KCoreList returns the vertices of g's k-core in ascending id order,
+// freshly allocated: the keep list of the induced k-core, without a mask
+// or any other table as long as the graph.
+func KCoreList(g *bigraph.Graph, k int) []int {
+	ws := getWS()
+	defer putWS(ws)
+	core := ws.kcore(g, k)
+	out := make([]int, len(core))
+	for i, v := range core {
+		out[i] = int(v)
+	}
+	return out
+}
+
+// kcore peels g to its k-core and returns the survivors in ascending id
+// order, in ws.cand. Only the candidates — vertices of degree ≥ k, the
+// only ones that can survive — get peeling state, so after one scan of
+// the degrees the cost follows them, not n:
+//   - a core vertex has k core neighbours, all on the other side, so if
+//     either side has fewer than k candidates (or, during the peel,
+//     fewer than k live ones) the core is empty;
+//   - a candidate's starting count is its number of candidate
+//     neighbours, read from whichever side has fewer vertices plus list
+//     entries: counted over the candidates' own lists, or taken as the
+//     plain degree less one per edge from a non-candidate (the plain
+//     peel's first wave, which reads no list when every vertex is a
+//     candidate);
+//   - one bit per vertex marks the live candidates (n/8 bytes, small
+//     enough to stay in cache), and a candidate dies exactly once, when
+//     its count first drops below k.
+func (ws *workspace) kcore(g *bigraph.Graph, k int) []int32 {
+	n, nl := g.NumVertices(), g.NL()
+	k = max(k, 0)
+	if cap(ws.cdeg) < n {
+		ws.cdeg = make([]int32, n)
+	}
+	// cdeg holds a candidate's live count; entries at other vertices are
+	// scratch and never read.
+	cdeg, k32 := ws.cdeg[:n], int32(k)
+	live := &ws.live
+	live.Reshape(n)
+	cand := ws.cand[:0]
+	candSum := 0 // the candidates' degree sum
 	for v := 0; v < n; v++ {
-		alive[v] = true
-		deg[v] = g.Deg(v)
-		if deg[v] < k {
-			queue = append(queue, v)
-			alive[v] = false
+		if d := g.Deg(v); d >= k {
+			cand = append(cand, int32(v))
+			live.Add(v)
+			cdeg[v] = int32(d)
+			candSum += d
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, wn := range g.Neighbors(v) {
-			w := int(wn)
-			if !alive[w] {
+	ws.cand = cand
+	var count [2]int // live candidates per side
+	count[0], _ = slices.BinarySearch(cand, int32(nl))
+	count[1] = len(cand) - count[0]
+	if count[0] < k || count[1] < k {
+		return cand[:0]
+	}
+	if len(cand)+candSum <= n-len(cand)+2*g.NumEdges()-candSum {
+		for _, v := range cand {
+			d := int32(0)
+			for _, w := range g.Neighbors(int(v)) {
+				if live.Contains(int(w)) {
+					d++
+				}
+			}
+			cdeg[v] = d
+		}
+	} else {
+		for wi, word := range live.Words() {
+			for zero := ^word; zero != 0; zero &= zero - 1 {
+				u := wi*64 + bits.TrailingZeros64(zero)
+				if u >= n {
+					break
+				}
+				for _, w := range g.Neighbors(u) {
+					cdeg[w]--
+				}
+			}
+		}
+	}
+	side := func(v int32) int {
+		if int(v) < nl {
+			return 0
+		}
+		return 1
+	}
+	dead := ws.dead[:0]
+	for _, v := range cand {
+		if cdeg[v] < k32 {
+			dead = append(dead, v)
+			live.Remove(int(v))
+			count[side(v)]--
+		}
+	}
+	for len(dead) > 0 && count[0] >= k && count[1] >= k {
+		v := dead[len(dead)-1]
+		dead = dead[:len(dead)-1]
+		for _, w := range g.Neighbors(int(v)) {
+			if !live.Contains(int(w)) {
 				continue
 			}
-			deg[w]--
-			if deg[w] < k {
-				alive[w] = false
-				queue = append(queue, w)
+			if cdeg[w]--; cdeg[w] < k32 {
+				live.Remove(int(w))
+				dead = append(dead, w)
+				count[side(w)]--
 			}
 		}
 	}
-	return alive
+	ws.dead = dead[:0]
+	if count[0] < k || count[1] < k {
+		return cand[:0]
+	}
+	out := cand[:0]
+	for _, v := range cand {
+		if live.Contains(int(v)) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // KCoreMaskWithin peels the subgraph of g induced by start down to its

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/bigraph"
+	"repro/internal/bitset"
 )
 
 // workspace bundles the flat scratch one peeling call needs — the
@@ -20,6 +21,10 @@ type workspace struct {
 
 	deg       []int
 	queue     []int
+	cand      []int32    // kcore: candidates, then survivors
+	cdeg      []int32    // kcore: live degree, valid at candidates only
+	dead      []int32    // kcore: peel stack
+	live      bitset.Set // kcore: the live candidates
 	affected  []int
 	admitted  []int
 	buf       []int

@@ -6,6 +6,7 @@
 package heur
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -16,9 +17,9 @@ import (
 // anchors at each of the `seeds` highest-scoring vertices in turn (score
 // descending, ties broken by ascending id), then repeatedly extends the
 // smaller side with the highest-scoring compatible candidate. score is
-// indexed by unified vertex id — pass degrees for the max-degree rule or
-// core numbers for the max-core rule. The first largest biclique over all
-// seeds is returned.
+// indexed by unified vertex id — pass core numbers for the max-core rule,
+// or nil for the max-degree rule, which reads the degrees from g itself.
+// The first largest biclique over all seeds is returned.
 //
 // The seeds are selected in one pass over the vertices with a sorted
 // buffer of `seeds` entries: O(n) time for the small seed counts callers
@@ -38,15 +39,16 @@ func Greedy(g *bigraph.Graph, score []int, seeds int) bigraph.Biclique {
 	}
 	limit := min(g.NL(), g.NR())
 	mark := make([]bool, n)
+	sc := scores{g: g, s: score}
 	var best bigraph.Biclique
-	for _, u := range topScores(score[:n], min(max(seeds, 1), n)) {
+	for _, u := range topScores(sc, n, min(max(seeds, 1), n)) {
 		if best.Size() == limit {
 			break
 		}
 		if g.Deg(u) <= best.Size() {
 			continue
 		}
-		bc := expand(g, u, score, mark, best.Size())
+		bc := expand(g, u, sc, mark, best.Size())
 		if bc.Size() > best.Size() {
 			best = bc
 		}
@@ -54,22 +56,41 @@ func Greedy(g *bigraph.Graph, score []int, seeds int) bigraph.Biclique {
 	return best
 }
 
-// topScores returns the k vertices that come first in (score descending,
-// id ascending) order, in that order. Vertices are scanned by ascending
-// id, so a newcomer ties after every buffered vertex of equal score and
-// enters the full buffer only with a strictly higher score than its last
-// entry.
-func topScores(score []int, k int) []int {
+// scores is a greedy score vector: s[v], or g's degree of v when s is
+// nil, so the max-degree rule needs no table of its own.
+type scores struct {
+	g *bigraph.Graph
+	s []int
+}
+
+func (sc scores) of(v int) int {
+	if sc.s == nil {
+		return sc.g.Deg(v)
+	}
+	return sc.s[v]
+}
+
+// topScores returns the k vertices among 0..n−1 that come first in
+// (score descending, id ascending) order, in that order. Vertices are
+// scanned by ascending id, so a newcomer ties after every buffered vertex
+// of equal score and enters the full buffer only with a strictly higher
+// score than its last entry.
+func topScores(sc scores, n, k int) []int {
 	top := make([]int, 0, k)
-	for v, s := range score {
-		if len(top) == k && s <= score[top[k-1]] {
+	last := 0 // the score of top[k-1] once the buffer is full
+	for v := 0; v < n; v++ {
+		s := sc.of(v)
+		if len(top) == k && s <= last {
 			continue
 		}
-		i := sort.Search(len(top), func(i int) bool { return score[top[i]] < s })
+		i := sort.Search(len(top), func(i int) bool { return sc.of(top[i]) < s })
 		if len(top) == k {
 			top = top[:k-1]
 		}
 		top = slices.Insert(top, i, v)
+		if len(top) == k {
+			last = sc.of(top[k-1])
+		}
 	}
 	return top
 }
@@ -77,7 +98,7 @@ func topScores(score []int, k int) []int {
 // expand grows a balanced biclique around seed u by alternating sides. It
 // returns the empty biclique as soon as the result provably cannot exceed
 // best. mark must be all false; it is restored before expand returns.
-func expand(g *bigraph.Graph, u int, score []int, mark []bool, best int) bigraph.Biclique {
+func expand(g *bigraph.Graph, u int, sc scores, mark []bool, best int) bigraph.Biclique {
 	// Orient so the seed is on the "A" side; flip back at the end.
 	flip := !g.IsLeft(u)
 
@@ -96,7 +117,7 @@ func expand(g *bigraph.Graph, u int, score []int, mark []bool, best int) bigraph
 			if len(CA) == 0 {
 				break
 			}
-			v := pickBest(CA, score)
+			v := pickBest(CA, sc)
 			A = append(A, v)
 			CA = removeOne(CA, v)
 			CB = intersectAdj(g, CB, v)
@@ -104,7 +125,7 @@ func expand(g *bigraph.Graph, u int, score []int, mark []bool, best int) bigraph
 			if len(CB) == 0 {
 				break
 			}
-			v := pickBest(CB, score)
+			v := pickBest(CB, sc)
 			B = append(B, v)
 			CB = removeOne(CB, v)
 			CA = intersectAdj(g, CA, v)
@@ -160,12 +181,12 @@ func toInts(a []int32) []int {
 	return out
 }
 
-// pickBest returns the element of cand with the highest score.
-func pickBest(cand []int, score []int) int {
-	best := cand[0]
+// pickBest returns the first element of cand with the highest score.
+func pickBest(cand []int, sc scores) int {
+	best, bs := cand[0], sc.of(cand[0])
 	for _, v := range cand[1:] {
-		if score[v] > score[best] {
-			best = v
+		if s := sc.of(v); s > bs {
+			best, bs = v, s
 		}
 	}
 	return best
@@ -179,10 +200,24 @@ func removeOne(a []int, v int) []int {
 	return a
 }
 
-// intersectAdj returns cand ∩ N(v), keeping cand sorted.
+// intersectAdj returns cand ∩ N(v), keeping cand sorted. It merges the
+// two sorted lists, unless N(v) is so much longer — a hub's list against
+// a few candidates — that binary-searching each candidate in the rest of
+// N(v) reads less of it.
 func intersectAdj(g *bigraph.Graph, cand []int, v int) []int {
 	ns := g.Neighbors(v)
 	out := cand[:0]
+	if len(cand)*bits.Len(uint(len(ns))) < len(ns) {
+		for _, c := range cand {
+			i, found := slices.BinarySearch(ns, int32(c))
+			if found {
+				out = append(out, c)
+				i++
+			}
+			ns = ns[i:]
+		}
+		return out
+	}
 	i, j := 0, 0
 	for i < len(cand) && j < len(ns) {
 		switch {
@@ -199,8 +234,9 @@ func intersectAdj(g *bigraph.Graph, cand []int, v int) []int {
 	return out
 }
 
-// DegreeScores returns the degree of every vertex, the score vector of the
-// max-degree greedy rule.
+// DegreeScores returns the degree of every vertex as a table, for the
+// heuristics that index degrees many times (Greedy reads them from the
+// graph when given a nil score).
 func DegreeScores(g *bigraph.Graph) []int {
 	s := make([]int, g.NumVertices())
 	for v := range s {

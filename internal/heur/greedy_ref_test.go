@@ -172,20 +172,26 @@ func refIntersectAdj(g *bigraph.Graph, cand []int, v int) []int {
 }
 
 // sameAsReference fails t unless heur.Greedy and refGreedy return
-// identical witnesses on (g, score, seeds).
+// identical witnesses on (g, score, seeds). A nil score is Greedy's
+// max-degree rule, which reads the degrees from g; the reference gets
+// them as a table.
 func sameAsReference(t *testing.T, name string, g *bigraph.Graph, score []int, seeds int) {
 	t.Helper()
-	got, want := heur.Greedy(g, score, seeds), refGreedy(g, score, seeds)
+	refScore := score
+	if score == nil {
+		refScore = heur.DegreeScores(g)
+	}
+	got, want := heur.Greedy(g, score, seeds), refGreedy(g, refScore, seeds)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s (seeds %d): Greedy = %v, reference = %v", name, seeds, got, want)
 	}
 }
 
-// scoreVectors returns the two score vectors the sparse pipeline passes:
-// degrees (max-degree rule) and core numbers (max-core rule). Both have
-// many ties.
+// scoreVectors returns the score vectors the pipelines pass: degrees
+// (the max-degree rule, as a table and as nil) and core numbers (the
+// max-core rule). All have many ties.
 func scoreVectors(g *bigraph.Graph) map[string][]int {
-	return map[string][]int{"degree": heur.DegreeScores(g), "core": decomp.Cores(g).Core}
+	return map[string][]int{"degree": heur.DegreeScores(g), "degree-nil": nil, "core": decomp.Cores(g).Core}
 }
 
 func TestGreedyMatchesReference(t *testing.T) {
@@ -220,7 +226,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 						sameAsReference(t, d.Name+" "+mode, g, score, seeds)
 					}
 				}
-				tau := heur.Greedy(g, heur.DegreeScores(g), 8).Size()
+				tau := heur.Greedy(g, nil, 8).Size()
 				red, _ := g.InducedByMask(decomp.KCoreMask(g, tau+1))
 				sameAsReference(t, d.Name+" core-reduced", red, decomp.Cores(red).Core, 8)
 			}
@@ -296,15 +302,50 @@ func TestGreedyMatchesReference(t *testing.T) {
 	})
 }
 
+// TestGreedyHubIntersections runs the expansions where a candidate list
+// is intersected with a hub's much longer adjacency list, the case
+// intersectAdj answers by binary search: three left hubs adjacent to
+// every right vertex beside ordinary left vertices of degree 3–12. With
+// low degrees scoring high, the ordinary vertices shrink the right
+// candidates first and the hubs join later, against a short list.
+func TestGreedyHubIntersections(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 20; trial++ {
+		nl, nr := 3+30+rng.Intn(40), 300+rng.Intn(700)
+		b := bigraph.NewBuilder(nl, nr)
+		for l := 0; l < 3; l++ {
+			for r := 0; r < nr; r++ {
+				b.AddEdge(l, r)
+			}
+		}
+		for l := 3; l < nl; l++ {
+			for i := 3 + rng.Intn(10); i > 0; i-- {
+				b.AddEdge(l, rng.Intn(nr))
+			}
+		}
+		g := b.Build()
+		low := make([]int, g.NumVertices())
+		for v := range low {
+			low[v] = -g.Deg(v)
+		}
+		name := fmt.Sprintf("hubs %d %dx%d", trial, nl, nr)
+		for _, seeds := range []int{1, 8, 64} {
+			sameAsReference(t, name+" low-degree-first", g, low, seeds)
+			sameAsReference(t, name+" degree-nil", g, nil, seeds)
+		}
+	}
+}
+
 // FuzzGreedyMatchesReference: the first two bytes give the side sizes,
-// the third a score mode (degrees, core numbers, all equal, or the input
-// bytes themselves), the fourth the seed count (0 up to n+5), and every
-// further byte pair an edge.
+// the third a score mode (degrees, core numbers, all equal, the input
+// bytes themselves, or nil for degrees read from the graph), the fourth
+// the seed count (0 up to n+5), and every further byte pair an edge.
 func FuzzGreedyMatchesReference(f *testing.F) {
 	f.Add([]byte{4, 4, 0, 2, 0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 3})
 	f.Add([]byte{9, 2, 1, 8, 0, 0, 1, 0, 2, 0, 3, 1, 4, 1, 5, 0, 5, 1})
 	f.Add([]byte{5, 5, 2, 30, 0, 0, 0, 1, 1, 0, 1, 1, 4, 4})
 	f.Add([]byte{12, 7, 3, 5, 9, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9})
+	f.Add([]byte{20, 3, 4, 8, 0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 2, 2, 3, 0, 4, 1, 5, 2, 6, 0, 7, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -318,14 +359,14 @@ func FuzzGreedyMatchesReference(f *testing.F) {
 		}
 		g := b.Build()
 		var score []int
-		switch data[2] % 4 {
+		switch data[2] % 5 {
 		case 0:
 			score = heur.DegreeScores(g)
 		case 1:
 			score = decomp.Cores(g).Core
 		case 2:
 			score = make([]int, n)
-		default:
+		case 3:
 			score = make([]int, n)
 			for v := range score {
 				score[v] = int(data[v%len(data)]) % 7

@@ -123,10 +123,8 @@ func (s *state) produce(reduced *bigraph.Graph, newToOld []int, emit func(centre
 		stats.DensitySamples++
 		stats.SumSubVertices += int64(sub.NumVertices())
 
-		var scores []int
-		if s.opt.SkipCoreOpts {
-			scores = heur.DegreeScores(sub)
-		} else {
+		var scores []int // nil: the max-degree rule
+		if !s.opt.SkipCoreOpts {
 			// Degeneracy prune: a biclique of balanced size best+1 forces
 			// δ(H) ≥ best+1.
 			c := decomp.Cores(sub)

@@ -29,7 +29,7 @@ func (s *state) hMBB() (reduced *bigraph.Graph, newToOld []int, done bool) {
 	}
 
 	// Max-degree greedy.
-	s.improve(heur.Greedy(g, heur.DegreeScores(g), s.opt.Seeds))
+	s.improve(heur.Greedy(g, nil, s.opt.Seeds))
 
 	if s.opt.SkipCoreOpts {
 		// Variant bd2: keep the heuristic but skip every core-based

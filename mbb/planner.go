@@ -75,6 +75,25 @@ type reduction struct {
 	peeled   int
 }
 
+// identity is the reduction that peels nothing.
+func identity(g *Graph) reduction {
+	return reduction{g: g, newToOld: bigraph.IdentityMap(g.NumVertices())}
+}
+
+// coreReduction is the first reduction of a plan build and of a top-k
+// sweep: g's k-core, induced straight from its keep list
+// (decomp.KCoreList). The peel and the induction cost what can survive,
+// not n: no mask, identity map or id table as long as g is built. When
+// nothing peels, the keep list is the identity map and g itself stands.
+func coreReduction(g *Graph, k int) reduction {
+	keep := decomp.KCoreList(g, k)
+	if len(keep) == g.NumVertices() {
+		return reduction{g: g, newToOld: keep}
+	}
+	sub, newToOld := g.Induced(keep)
+	return reduction{g: sub, newToOld: newToOld, peeled: g.NumVertices() - len(keep)}
+}
+
 // applyMask induces red.g on mask and composes the id mapping, keeping
 // the peeled count.
 func applyMask(red reduction, mask []bool) reduction {
@@ -181,7 +200,7 @@ func (p *Plan) takeCostliest(pending []int) (int, []int) {
 // they stay query-independent.
 func computePlan(ex *core.Exec, g *Graph, floor int) *Plan {
 	if ex.ShouldStop() {
-		return &Plan{g: g, red: reduction{g: g, newToOld: bigraph.IdentityMap(g.NumVertices())}, partial: true}
+		return &Plan{g: g, red: identity(g), partial: true}
 	}
 
 	// Seed τ with the max-degree greedy (Algorithm 5's first pass), apply
@@ -189,16 +208,18 @@ func computePlan(ex *core.Exec, g *Graph, floor int) *Plan {
 	// survivor — core numbers are only meaningful after the fringe is
 	// gone. Only then run the heavier bicore fixed point, on the smallest
 	// graph and the best τ the heuristics could buy.
-	seed := heur.Greedy(g, heur.DegreeScores(g), 8).Balanced()
+	seed := heur.Greedy(g, nil, 8).Balanced()
 	tau := seed.Size()
 	if floor > tau {
 		tau = floor
 	}
 	ex.OfferBest(tau)
 
-	red := reduction{g: g, newToOld: bigraph.IdentityMap(g.NumVertices())}
-	if !ex.ShouldStop() {
-		red = applyMask(red, decomp.KCoreMask(g, tau+1))
+	var red reduction
+	if ex.ShouldStop() {
+		red = identity(g)
+	} else {
+		red = coreReduction(g, tau+1)
 		if red.g.NumVertices() > 0 {
 			bc := heur.Greedy(red.g, decomp.Cores(red.g).Core, 8).Balanced()
 			if bc.Size() > tau {

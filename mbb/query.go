@@ -125,15 +125,16 @@ func tailFloors(top, floor int, exact bool) []int {
 
 // tailSweep offers heap every maximal biclique of g whose min-side
 // exceeds f and the heap's bound: g is peeled at f (optimum-preserving
-// for every size above f), split into components largest first, and each
+// for every size above f) through the plan build's front end — the
+// (f+1)-core induced from its keep list, then the reduceFixedPoint
+// iteration — split into components largest first, and each
 // component is enumerated against max(heap.Bound(), f), so once the heap
 // holds k sizes, whole components and subtrees that cannot beat its
 // smallest size are skipped. A component of at most denseAutoLimit cells
 // — the planner's dense/sparse bound — runs the word-parallel kernel,
 // a larger one the slice kernel.
 func tailSweep(ex *core.Exec, g *Graph, f int, heap *core.TopK) {
-	red := reduction{g: g, newToOld: bigraph.IdentityMap(g.NumVertices())}
-	red = reduceFixedPoint(ex, red, f)
+	red := reduceFixedPoint(ex, coreReduction(g, f+1), f)
 	bound := func() int {
 		if b := heap.Bound(); b > f {
 			return b
